@@ -53,7 +53,7 @@ Nbta DrawDense(const RankedAlphabet& sigma, uint32_t states, uint64_t seed) {
   return RandomNbta(sigma, rng, opts);
 }
 
-// The downward rename pipeline instance (bench_parallel's end-to-end shape):
+// The downward rename pipeline instance:
 // complement(tau2), the downward product, and the fast-path subset
 // construction are all cacheable, so a warm decision is dominated by
 // structural hashing and the per-instance glue.
@@ -83,7 +83,6 @@ struct RenameFixture {
     // work the cache deliberately never serves (docs/CACHING.md), so it
     // would dilute the cold/warm contrast with identical time on both rows.
     opts.refutation_max_trees = 0;
-    opts.num_threads = 1;
     opts.memo = memo;
     return opts;
   }
@@ -131,7 +130,6 @@ void BM_ComplementCold(benchmark::State& state) {
   NbtaIndex ia(a);
   for (auto _ : state) {
     TaOpContext ctx;
-    ctx.budgets.num_threads = 1;
     auto r = ComplementNbta(ia, sigma, &ctx);
     PEBBLETC_CHECK(r.ok());
     benchmark::DoNotOptimize(r);
@@ -150,7 +148,6 @@ void BM_ComplementWarm(benchmark::State& state) {
   const TaAlgebra alg(&cache);
   auto memo_ctx = [] {
     TaOpContext ctx;
-    ctx.budgets.num_threads = 1;
     ctx.budgets.memo = TaMemoMode::kInMemory;
     return ctx;
   };
@@ -190,7 +187,6 @@ void BM_WarmWorkingSet(benchmark::State& state) {
   for (auto _ : state) {
     for (size_t i = 0; i < kWorkingSet; ++i) {
       TaOpContext ctx;
-      ctx.budgets.num_threads = 1;
       ctx.budgets.memo = TaMemoMode::kInMemory;
       auto r = alg.Complement(*idx[i], sigma, &ctx);
       PEBBLETC_CHECK(r.ok());

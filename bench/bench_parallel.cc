@@ -1,48 +1,37 @@
-// E14 (docs/PARALLEL.md): the parallel execution layer measured in both of
-// its dimensions.
+// E14 (docs/PARALLEL.md): the serial product construction and the sharded
+// diffcheck sweep.
 //
-//  * Flat-memory rewrite: IntersectNbta's serial path swapped its
-//    std::map pair interner and std::set emitted-guard for an open-addressing
-//    interner keyed on packed uint64 pairs and a per-a-rule bitmap. The
-//    retired map-based construction is kept here (MapBasedIntersect, a
-//    verbatim copy of the pre-rewrite code) as the before-baseline.
-//  * Thread scaling: the sharded product construction, the op-level forks in
-//    the Theorem 4.4/4.7 typechecking pipeline, and the diffcheck sweep at
-//    1/2/4/8 workers. On a single-core host the >1 rows measure sharding
-//    overhead, not speedup — see the host note in BENCH_parallel.json.
+//  * BM_IntersectFlatSerial: IntersectNbta's flat-memory construction
+//    (open-addressing interner keyed on packed uint64 pairs, per-a-rule
+//    emitted bitmap) on the dense diffcheck family at n states per side.
+//  * BM_DiffcheckSweepThreads: the oracle sweep at 1/2/4/8 workers, in wall
+//    time. The sweep is the one TaThreadPool user that scales on real cores;
+//    the product construction is serial (see "Why the product is serial" in
+//    docs/PARALLEL.md).
 //
 // CI runs this binary in the bench-smoke job with tiny sizes and uploads the
 // JSON as the BENCH_parallel.json artifact; the checked-in
-// BENCH_parallel.json records the before/after and scaling rows.
+// BENCH_parallel.json records the measured rows.
 
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <set>
-#include <utility>
-#include <vector>
 
 #include "src/check/diffcheck.h"
 #include "src/common/check.h"
 #include "src/common/rng.h"
-#include "src/core/typechecker.h"
-#include "src/dtd/dtd.h"
-#include "src/query/xslt.h"
 #include "src/ta/nbta.h"
 #include "src/ta/nbta_index.h"
 #include "src/ta/op_context.h"
 #include "src/ta/random_ta.h"
-#include "src/ta/thread_pool.h"
-#include "src/tree/encode.h"
 
 namespace pebbletc {
 namespace {
 
 // The dense diffcheck instance family (bench_determinize's DrawDense shape):
-// rules ≈ 2 * n^2 * 0.3, so the n = 32 pair clears the parallel gate by an
-// order of magnitude and the product frontier has thousands of live pairs.
+// rules ≈ 2 * n^2 * 0.3, so at n = 32 the product frontier has thousands of
+// live pairs.
 Nbta DrawDense(const RankedAlphabet& sigma, uint32_t states, uint64_t seed) {
   Rng rng(seed);
   RandomNbtaOptions opts;
@@ -51,78 +40,6 @@ Nbta DrawDense(const RankedAlphabet& sigma, uint32_t states, uint64_t seed) {
   opts.leaf_density = 0.5;
   return RandomNbta(sigma, rng, opts);
 }
-
-// The retired IntersectNbta, verbatim (modulo the dropped context plumbing):
-// node-based std::map pair interner, std::set emitted guard. Kept only as
-// this benchmark's before-baseline for the flat-memory rewrite.
-Nbta MapBasedIntersect(const NbtaIndex& ia, const NbtaIndex& ib) {
-  const Nbta& a = ia.nbta();
-  const Nbta& b = ib.nbta();
-  Nbta out;
-  out.num_symbols = a.num_symbols;
-
-  std::map<std::pair<StateId, StateId>, StateId> index;
-  std::vector<std::pair<StateId, StateId>> worklist;
-  auto intern = [&](StateId x, StateId y) -> StateId {
-    auto [it, inserted] = index.emplace(std::make_pair(x, y), out.num_states);
-    if (inserted) {
-      StateId id = out.AddState();
-      out.accepting[id] = a.accepting[x] && b.accepting[y];
-      worklist.push_back({x, y});
-    }
-    return it->second;
-  };
-
-  for (SymbolId s = 0; s < a.num_symbols; ++s) {
-    for (StateId ta : ia.LeafTargets(s)) {
-      for (StateId tb : ib.LeafTargets(s)) {
-        out.AddLeafRule(s, intern(ta, tb));
-      }
-    }
-  }
-
-  std::set<std::pair<uint32_t, uint32_t>> emitted;
-  auto try_emit = [&](uint32_t ra_i, uint32_t rb_i) {
-    const auto& ra = a.rules[ra_i];
-    const auto& rb = b.rules[rb_i];
-    if (ra.symbol != rb.symbol) return;
-    auto l = index.find({ra.left, rb.left});
-    if (l == index.end()) return;
-    auto r = index.find({ra.right, rb.right});
-    if (r == index.end()) return;
-    if (!emitted.emplace(ra_i, rb_i).second) return;
-    StateId to = intern(ra.to, rb.to);
-    out.AddRule(ra.symbol, l->second, r->second, to);
-  };
-
-  while (!worklist.empty()) {
-    auto [xa, xb] = worklist.back();
-    worklist.pop_back();
-    for (uint32_t ra_i : ia.RulesWithLeft(xa)) {
-      for (uint32_t rb_i : ib.RulesWithLeft(xb)) try_emit(ra_i, rb_i);
-    }
-    for (uint32_t ra_i : ia.RulesWithRight(xa)) {
-      for (uint32_t rb_i : ib.RulesWithRight(xb)) try_emit(ra_i, rb_i);
-    }
-  }
-  return out;
-}
-
-void BM_IntersectMapBased(benchmark::State& state) {
-  RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
-  const uint32_t n = static_cast<uint32_t>(state.range(0));
-  Nbta a = DrawDense(sigma, n, 13);
-  Nbta b = DrawDense(sigma, n, 17);
-  NbtaIndex ia(a), ib(b);
-  size_t product_states = 0;
-  for (auto _ : state) {
-    Nbta out = MapBasedIntersect(ia, ib);
-    product_states = out.num_states;
-    benchmark::DoNotOptimize(out);
-  }
-  state.counters["product_states"] = static_cast<double>(product_states);
-}
-BENCHMARK(BM_IntersectMapBased)->Arg(16)->Arg(24)->Arg(32)->Arg(48);
 
 void BM_IntersectFlatSerial(benchmark::State& state) {
   RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
@@ -133,7 +50,6 @@ void BM_IntersectFlatSerial(benchmark::State& state) {
   size_t product_states = 0;
   for (auto _ : state) {
     TaOpContext ctx;
-    ctx.budgets.num_threads = 1;
     Nbta out = IntersectNbta(ia, ib, &ctx);
     product_states = out.num_states;
     benchmark::DoNotOptimize(out);
@@ -141,66 +57,6 @@ void BM_IntersectFlatSerial(benchmark::State& state) {
   state.counters["product_states"] = static_cast<double>(product_states);
 }
 BENCHMARK(BM_IntersectFlatSerial)->Arg(16)->Arg(24)->Arg(32)->Arg(48);
-
-void BM_IntersectThreads(benchmark::State& state) {
-  // Thread scaling on one large product (n = 48 on each side); the
-  // /1 row is the serial path and the scaling denominator.
-  RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
-  Nbta a = DrawDense(sigma, 48, 13);
-  Nbta b = DrawDense(sigma, 48, 17);
-  NbtaIndex ia(a), ib(b);
-  const uint32_t threads = static_cast<uint32_t>(state.range(0));
-  size_t product_states = 0;
-  for (auto _ : state) {
-    TaOpContext ctx;
-    ctx.budgets.num_threads = threads;
-    Nbta out = IntersectNbta(ia, ib, &ctx);
-    product_states = out.num_states;
-    benchmark::DoNotOptimize(out);
-  }
-  state.counters["product_states"] = static_cast<double>(product_states);
-  state.counters["hw_workers"] =
-      static_cast<double>(TaThreadPool::HardwareWorkers());
-}
-BENCHMARK(BM_IntersectThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_TypecheckPipelineThreads(benchmark::State& state) {
-  // The Theorem 4.4/4.7 pipeline end to end (refutation pass + complete
-  // decision) with the op-level forks engaged: complement(tau2) runs
-  // alongside the refutation enumeration / forward image.
-  Alphabet in_tags, out_tags;
-  auto program =
-      std::move(ParseXslt("template a { b { apply } }\ntemplate c { d }",
-                          &in_tags, &out_tags))
-          .ValueOrDie();
-  auto in_enc = std::move(MakeEncodedAlphabet(in_tags)).ValueOrDie();
-  auto out_enc = std::move(MakeEncodedAlphabet(out_tags)).ValueOrDie();
-  auto t = std::move(CompileXslt(program, in_enc, out_enc)).ValueOrDie();
-  auto in_dtd = std::move(ParseDtd("a := (a|c)*\nc := ()")).ValueOrDie();
-  auto tau1 = std::move(CompileDtdToNbta(in_dtd, in_enc)).ValueOrDie();
-  auto good_dtd = std::move(ParseDtd("b := (b|d)*\nd := ()")).ValueOrDie();
-  auto tau2 = std::move(CompileDtdToNbta(good_dtd, out_enc)).ValueOrDie();
-  Typechecker tc(t, in_enc.ranked, out_enc.ranked);
-  TypecheckOptions opts;
-  opts.refutation_max_trees = 40;
-  opts.refutation_max_nodes = 15;
-  opts.num_threads = static_cast<uint32_t>(state.range(0));
-  TypecheckVerdict verdict = TypecheckVerdict::kInconclusive;
-  for (auto _ : state) {
-    auto r = tc.Typecheck(tau1, tau2, opts);
-    PEBBLETC_CHECK(r.ok());
-    verdict = r->verdict;
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["typechecks"] =
-      verdict == TypecheckVerdict::kTypechecks ? 1 : 0;
-}
-BENCHMARK(BM_TypecheckPipelineThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_DiffcheckSweepThreads(benchmark::State& state) {
   // The sharded oracle sweep: 32 iterations of the full law catalogue
@@ -224,7 +80,8 @@ BENCHMARK(BM_DiffcheckSweepThreads)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace pebbletc

@@ -346,10 +346,6 @@ class Harness {
     if (opts_.typecheck_deadline_ms != 0) {
       o.deadline = std::chrono::milliseconds(opts_.typecheck_deadline_ms);
     }
-    // The sweep parallelizes at the iteration level only; every op inside an
-    // iteration stays serial so its behavior depends on (seed, iteration)
-    // alone and any failure replays exactly regardless of --threads.
-    o.num_threads = 1;
     return o;
   }
 
@@ -795,12 +791,9 @@ void Harness::CheckMemo(size_t iter, bool extended, const Nbta& a,
   const RankedAlphabet& sigma = extended ? ext_ : base_;
   NbtaIndex idx_a(a);
   NbtaIndex idx_b(b);
-  // Byte-exactness demands serial ops: the parallel product's state
-  // numbering is schedule-dependent (docs/PARALLEL.md).
   auto memo_ctx = [this] {
     TaOpContext ctx = BudgetCtx(opts_);
     ctx.budgets.memo = TaMemoMode::kInMemory;
-    ctx.budgets.num_threads = 1;
     return ctx;
   };
 
@@ -1457,7 +1450,6 @@ void Harness::CheckInclusion(size_t iter, bool extended, const Nbta& a,
     auto memo_ctx = [this] {
       TaOpContext c = BudgetCtx(opts_);
       c.budgets.memo = TaMemoMode::kInMemory;
-      c.budgets.num_threads = 1;
       return c;
     };
     TaOpContext miss_ctx = memo_ctx();

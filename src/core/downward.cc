@@ -22,7 +22,7 @@ bool IsDownwardTransducer(const PebbleTransducer& t) {
   return true;
 }
 
-// Transducers are parsed structures, never products of parallel ops, so
+// Transducers are parsed structures, never algebra products, so
 // representation hashing is canonical here.
 uint64_t TransducerFingerprint(const PebbleTransducer& t) {
   uint64_t h = 1469598103934665603ull;

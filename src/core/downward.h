@@ -27,8 +27,8 @@ bool IsDownwardTransducer(const PebbleTransducer& t);
 
 /// Exact FNV-1a fingerprint of a transducer's transition table — the
 /// transducer operand of the downward-product and pipeline cache keys
-/// (docs/CACHING.md). Transducers are parsed structures, never products of
-/// parallel ops, so representation hashing is canonical here.
+/// (docs/CACHING.md). Transducers are parsed structures, never algebra
+/// products, so representation hashing is canonical here.
 uint64_t TransducerFingerprint(const PebbleTransducer& t);
 
 /// Builds a (deterministic, reachable-subset) bottom-up automaton over the

@@ -114,12 +114,10 @@ struct TypecheckOptions {
   /// Deterministic fault injection for robustness tests: trips the Nth
   /// checkpoint of the run with a chosen Status code. Not owned.
   TaFaultInjector* fault_injector = nullptr;
-  /// Worker count for the parallel execution layer (docs/PARALLEL.md):
-  /// 0 = hardware concurrency, 1 = the fully serial pipeline (deterministic
-  /// checkpoint ordinals; forced whenever `fault_injector` is set). Above 1,
-  /// independent pipeline ops (complement(τ2) vs. the forward image) fork
-  /// across TaThreadPool and the hot product construction shards its
-  /// worklist. Verdicts and witnesses stay language-equal across counts.
+  /// Has no effect: the typechecking pipeline is serial at every value
+  /// (docs/PARALLEL.md), so verdicts, witnesses and counters are identical
+  /// across counts. Kept declared only because the end-to-end benchmark's
+  /// replay (perfbench/src/replay.cc) still assigns it.
   uint32_t num_threads = 0;
 
   // --- graceful degradation (the verdict ladder's last rung) ---

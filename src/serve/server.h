@@ -66,8 +66,9 @@ struct ServeOptions {
   /// forces the on-the-fly check; kAuto picks the antichain path when the
   /// output type is bottom-up deterministic (DTD-shaped schemas).
   TaInclusionPath inclusion = TaInclusionPath::kExplicit;
-  /// Worker threads per request (1 = serial; the daemon's concurrency comes
-  /// from serving requests in parallel, not from intra-request forking).
+  /// Worker threads per kValidateBatch request (1 = serial; the daemon's
+  /// concurrency comes from serving requests in parallel, not from
+  /// intra-request fan-out). Typecheck requests are always serial.
   uint32_t num_threads = 1;
   /// Op-cache mode for request contexts (docs/CACHING.md). kInMemory is the
   /// serving default: repeated requests against the same artifacts hit the

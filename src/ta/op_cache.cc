@@ -49,8 +49,8 @@ TaStructuralHash FinishHash(const std::vector<uint64_t>& words) {
 
 TaStructuralHash NbtaStructuralHash(const Nbta& input) {
   // Canonicalize: drop dead states, then work on deduplicated rule *sets* —
-  // the parallel product may emit schedule-dependent rule multiplicities and
-  // orders for one language, and neither may split cache entries.
+  // rule multiplicity and order carry no meaning, and neither may split
+  // cache entries.
   const Nbta a = TrimNbta(input);
   std::vector<Nbta::LeafRule> leaf(a.leaf_rules);
   std::sort(leaf.begin(), leaf.end(), [](const auto& x, const auto& y) {

@@ -9,8 +9,8 @@
 //
 //   canonicalize the operands  →  structural hash (order-independent and
 //   rename-invariant: the operand is trimmed and states are renumbered by a
-//   refinement coloring, so schedule-dependent state numbering from the
-//   parallel product never splits cache entries)  →  probe a bounded
+//   refinement coloring, so one automaton built under different state
+//   numberings never splits cache entries)  →  probe a bounded
 //   content-addressed cache keyed by (op, operand hashes, relevant budget
 //   caps)  →  compute on miss under the existing TaOpContext discipline  →
 //   insert with size-aware LRU eviction.
@@ -61,8 +61,7 @@ struct TaStructuralHash {
 /// final hash combines per-state colors and per-rule color signatures as
 /// sorted, deduplicated multisets. Invariants (docs/CACHING.md):
 ///   * permuting states or reordering rule lists never changes the hash;
-///   * duplicate rules never change the hash (the parallel product may emit
-///     different multiplicities per schedule);
+///   * duplicate rules never change the hash;
 ///   * adding/removing dead states never changes the hash (trim first).
 TaStructuralHash NbtaStructuralHash(const Nbta& a);
 

@@ -26,14 +26,15 @@
 //
 // Thread-safety contract (the merge-on-join model, docs/PARALLEL.md): a
 // context is owned by exactly one thread at a time — only the cancel flag it
-// points at may be flipped from elsewhere. Parallel operations never share a
-// context between workers; each worker share runs on its own Fork() child
-// (same deadline/cancel/stride, zeroed counters, no fault injector), workers
-// accumulate counters thread-locally into that child, and the joining thread
-// calls MergeChild() once per worker — on every exit path, including
-// interrupted drains — so the parent's counters and sticky interrupt reflect
-// the whole fan-out. Debug builds assert that Checkpoint() is never invoked
-// from two threads concurrently (see the owner-thread check below).
+// points at may be flipped from elsewhere. The kValidateBatch fan-out never
+// shares a context between workers; each worker share runs on its own
+// Fork() child (same deadline/cancel/stride, zeroed counters, no fault
+// injector), workers accumulate counters thread-locally into that child,
+// and the joining thread calls MergeChild() once per worker — on every exit
+// path, including interrupted drains — so the parent's counters and sticky
+// interrupt reflect the whole fan-out. Debug builds assert that Checkpoint()
+// is never invoked from two threads concurrently (see the owner-thread
+// check below).
 
 #ifndef PEBBLETC_TA_OP_CONTEXT_H_
 #define PEBBLETC_TA_OP_CONTEXT_H_
@@ -94,12 +95,11 @@ struct TaOpBudgets {
   /// fault injection are checked every call regardless.
   uint32_t checkpoint_stride = 256;
   /// Worker count for the parallel execution layer (docs/PARALLEL.md):
-  /// 0 = hardware concurrency (the default), 1 = the serial path (bit-for-
-  /// bit the pre-parallel behavior, and the only configuration with
-  /// deterministic checkpoint ordinals). Values above 1 let the hot
-  /// operations (IntersectNbta, the diffcheck sweep, op-level forks in the
-  /// typechecker) shard across TaThreadPool. A context carrying a fault
-  /// injector always runs serial regardless (injection ordinals must stay
+  /// 0 = hardware concurrency (the default), 1 = serial. Only the
+  /// kValidateBatch fan-out (serve::ValidateBatch) reads it; every automaton
+  /// operation, the product construction included, is serial and gives
+  /// bit-identical results at any value. A context carrying a fault injector
+  /// always runs serial regardless (injection ordinals must stay
   /// deterministic); see TaEffectiveThreads in src/ta/thread_pool.h.
   uint32_t num_threads = 0;
   /// Content-addressed memoization of expensive ops through TaAlgebra

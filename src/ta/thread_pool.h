@@ -1,5 +1,7 @@
-// A small, lazily-started worker pool for the automaton algebra's parallel
-// execution layer (docs/PARALLEL.md).
+// A small, lazily-started worker pool for the parallel execution layer
+// (docs/PARALLEL.md). It has two users: the diffcheck sweep, which shards
+// iteration ranges, and the kValidateBatch fan-out, which shards documents.
+// Every automaton operation is serial.
 //
 // The pool owns up to hardware_concurrency() - 1 persistent threads, spawned
 // on the first Run() that needs them; a process that never requests
@@ -7,18 +9,16 @@
 // body(n-1) — the *worker shares* of one parallel operation — across the
 // caller thread plus however many pool threads are idle, and blocks until
 // every share finished. Shares are claimed from a single atomic cursor, so an
-// idle pool thread steals whichever share the caller has not reached yet;
-// finer-grained stealing (batched frontier hand-off between shares) lives
-// inside the operations themselves, keyed to their own data structures.
+// idle pool thread steals whichever share the caller has not reached yet.
 //
 // Deadlock discipline: Run() never waits for a pool thread to pick a share
 // up — the calling thread claims shares itself until none remain, then waits
 // only for shares already *in flight* on other threads. Nested Run() calls
-// (an op-level fork inside a worker share) therefore always make progress:
+// (a batch fan-out inside a sweep share) therefore always make progress:
 // worst case the nested caller executes every nested share serially.
 //
 // The pool is deliberately oblivious to budgets, deadlines, and counters:
-// operations pass each share its own forked TaOpContext and merge on join
+// callers pass each share its own forked TaOpContext and merge on join
 // (see TaOpContext::Fork / MergeChild in src/ta/op_context.h).
 
 #ifndef PEBBLETC_TA_THREAD_POOL_H_

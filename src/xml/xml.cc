@@ -157,7 +157,7 @@ Result<UnrankedTree> BuildTree(std::string_view text, Intern&& intern,
   }
   if (!building) return UnrankedTree();  // unknown tag reported via out-param
   tree.SetRoot(root);
-  return std::move(tree);
+  return tree;
 }
 
 void Append(const UnrankedTree& tree, const Alphabet& alphabet, NodeId n,

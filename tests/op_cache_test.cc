@@ -1,7 +1,6 @@
 // Tests for the content-addressed op cache (docs/CACHING.md): structural
-// hash invariants (rename / rule-order / duplicate / dead-state invariance,
-// plus the satellite regression that parallel products hash identically
-// across thread counts), binary (de)serialization round-trips, TaOpCache
+// hash invariants (rename / rule-order / duplicate / dead-state invariance),
+// binary (de)serialization round-trips, TaOpCache
 // hit/miss/evict/byte accounting, size-aware LRU eviction order, budget-key
 // separation, the TaAlgebra gating rules, and persistent round-trips with
 // corrupted-entry quarantine.
@@ -112,8 +111,6 @@ TEST(StructuralHashTest, InvariantUnderRuleReorderAndDuplicates) {
   std::reverse(reordered.leaf_rules.begin(), reordered.leaf_rules.end());
   EXPECT_EQ(NbtaStructuralHash(reordered), h);
 
-  // The parallel product may emit the same rule with different
-  // multiplicities per schedule; the hash must not see multiplicity.
   Nbta duplicated = a;
   ASSERT_FALSE(a.rules.empty());
   ASSERT_FALSE(a.leaf_rules.empty());
@@ -164,36 +161,6 @@ TEST(StructuralHashTest, DbtaHashTracksRepresentation) {
   Dbta d3 = SampleDbta();
   d3.SetNext(0, 0, 0, (d3.Next(0, 0, 0) + 1) % d3.num_states());
   EXPECT_NE(DbtaStructuralHash(d3), DbtaStructuralHash(d1));
-}
-
-// The satellite regression for the parallel layer: the sharded product's
-// state numbering is schedule-dependent, but its structural hash must be
-// identical at --threads=1 and --threads=4 (docs/PARALLEL.md caveat).
-TEST(StructuralHashTest, ParallelIntersectHashEqualAcrossThreadCounts) {
-  const RankedAlphabet sigma = DiffcheckAlphabet(false);
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng_a(0x5eed0000 + seed), rng_b(0xb0b00000 + seed);
-    RandomNbtaOptions o;
-    o.num_states = 12;  // dense enough to clear the 256-rule parallel gate
-    o.rule_density = 0.7;
-    o.leaf_density = 0.6;
-    o.accepting_density = 0.4;
-    const Nbta a = RandomNbta(sigma, rng_a, o);
-    const Nbta b = RandomNbta(sigma, rng_b, o);
-    ASSERT_GE(a.rules.size() + b.rules.size(), 256u);
-
-    TaOpContext serial_ctx, parallel_ctx;
-    serial_ctx.budgets.num_threads = 1;
-    parallel_ctx.budgets.num_threads = 4;
-    const Nbta serial =
-        IntersectNbta(NbtaIndex(a), NbtaIndex(b), &serial_ctx);
-    const Nbta parallel =
-        IntersectNbta(NbtaIndex(a), NbtaIndex(b), &parallel_ctx);
-    ASSERT_FALSE(serial_ctx.interrupted());
-    ASSERT_FALSE(parallel_ctx.interrupted());
-    EXPECT_EQ(NbtaStructuralHash(parallel), NbtaStructuralHash(serial))
-        << "seed " << seed;
-  }
 }
 
 TEST(StructuralHashTest, BudgetKeySeparation) {
@@ -416,12 +383,10 @@ TEST(TaAlgebraTest, CachedOpsReplayByteExactly) {
   auto memo_ctx = [] {
     TaOpContext ctx;
     ctx.budgets.memo = TaMemoMode::kInMemory;
-    ctx.budgets.num_threads = 1;  // byte-exactness needs the serial path
     return ctx;
   };
 
   TaOpContext cold_ctx;
-  cold_ctx.budgets.num_threads = 1;
   Result<Nbta> cold = ComplementNbta(idx, sigma, &cold_ctx);
   ASSERT_TRUE(cold.ok());
 
@@ -472,7 +437,6 @@ TEST(TaAlgebraTest, IncludedInMemoizesVerdictsAndWitnesses) {
   auto memo_ctx = [] {
     TaOpContext ctx;
     ctx.budgets.memo = TaMemoMode::kInMemory;
-    ctx.budgets.num_threads = 1;
     return ctx;
   };
 
@@ -532,7 +496,6 @@ TEST(TaAlgebraTest, OffModeBypassesCache) {
   const Nbta a = SampleNbta(0x777);
   const NbtaIndex idx(a);
   TaOpContext ctx;  // memo = kOff
-  ctx.budgets.num_threads = 1;
   ASSERT_TRUE(alg.Complement(idx, sigma, &ctx).ok());
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(ctx.counters.memo_misses, 0u);
@@ -646,7 +609,6 @@ TEST_F(PersistenceTest, WriteThroughKeepsWarmEntriesReloadable) {
 
   TaOpContext ctx;
   ctx.budgets.memo = TaMemoMode::kPersistent;
-  ctx.budgets.num_threads = 1;
 
   std::string first_bytes;
   {
@@ -667,7 +629,6 @@ TEST_F(PersistenceTest, WriteThroughKeepsWarmEntriesReloadable) {
   const TaAlgebra alg2(&cache2);
   TaOpContext ctx2;
   ctx2.budgets.memo = TaMemoMode::kPersistent;
-  ctx2.budgets.num_threads = 1;
   Result<Nbta> r2 = alg2.Complement(idx, sigma, &ctx2);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(ctx2.counters.memo_hits, 1u);

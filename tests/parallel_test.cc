@@ -1,19 +1,22 @@
 // Tests for the parallel execution layer (docs/PARALLEL.md): TaThreadPool
-// share-stealing, TaOpContext fork/merge, serial-vs-parallel language
-// equality of the sharded product construction (checked through the
-// src/check reference ops, never the optimized suite under test), mid-flight
-// cancellation/deadline draining, and sharded diffcheck sweep equivalence.
+// share-stealing, TaOpContext fork/merge, bit-identical products and
+// typechecking results at every num_threads, cancellation/deadline drains
+// of the product construction, and sharded diffcheck sweep equivalence.
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/alphabet/alphabet.h"
 #include "src/check/diffcheck.h"
-#include "src/check/reference_ops.h"
 #include "src/common/rng.h"
+#include "src/core/typechecker.h"
+#include "src/dtd/dtd.h"
+#include "src/query/xslt.h"
 #include "src/ta/nbta.h"
 #include "src/ta/nbta_index.h"
 #include "src/ta/op_context.h"
@@ -103,15 +106,13 @@ TEST(OpContextForkTest, InterruptedParentForksInterruptedChildren) {
   EXPECT_EQ(child.interrupt().code(), StatusCode::kCancelled);
 }
 
-// ----------------------------------- serial vs parallel intersection -------
+// ------------------------------------------ thread-count invariance -------
 
-// Dense enough that the product clears the parallel gate (>= 256 total
-// rules) and has a rich reachable pair space.
+// Dense random automata: ~200 binary rules each, so the product has a rich
+// reachable pair space.
 Nbta DenseAutomaton(const RankedAlphabet& sigma, uint64_t seed) {
   Rng rng(seed);
   RandomNbtaOptions o;
-  // Expected binary rules ≈ symbols * states^2 * density ≈ 200 per
-  // automaton, so a pair of these clears the 256-rule parallel gate.
   o.num_states = 12;
   o.rule_density = 0.7;
   o.leaf_density = 0.6;
@@ -119,72 +120,108 @@ Nbta DenseAutomaton(const RankedAlphabet& sigma, uint64_t seed) {
   return RandomNbta(sigma, rng, o);
 }
 
-Nbta IntersectWithThreads(const Nbta& a, const Nbta& b, uint32_t threads,
-                          TaOpContext* out_ctx = nullptr) {
-  TaOpContext ctx;
-  ctx.budgets.num_threads = threads;
-  Nbta product = IntersectNbta(NbtaIndex(a), NbtaIndex(b), &ctx);
-  EXPECT_FALSE(ctx.interrupted());
-  if (out_ctx != nullptr) *out_ctx = ctx;
-  return product;
+// Every counter that measures work; op_nanos is wall time and may differ.
+void ExpectSameWork(const TaOpCounters& x, const TaOpCounters& y) {
+  EXPECT_EQ(x.states_materialized, y.states_materialized);
+  EXPECT_EQ(x.rules_scanned, y.rules_scanned);
+  EXPECT_EQ(x.determinizations, y.determinizations);
+  EXPECT_EQ(x.det_pairs_expanded, y.det_pairs_expanded);
+  EXPECT_EQ(x.det_subsets_interned, y.det_subsets_interned);
+  EXPECT_EQ(x.complementations, y.complementations);
+  EXPECT_EQ(x.inclusions, y.inclusions);
+  EXPECT_EQ(x.incl_pairs_interned, y.incl_pairs_interned);
+  EXPECT_EQ(x.incl_pairs_pruned, y.incl_pairs_pruned);
+  EXPECT_EQ(x.intersections, y.intersections);
+  EXPECT_EQ(x.trims, y.trims);
+  EXPECT_EQ(x.minimizations, y.minimizations);
+  EXPECT_EQ(x.indexes_built, y.indexes_built);
+  EXPECT_EQ(x.checkpoints, y.checkpoints);
+  EXPECT_EQ(x.memo_hits, y.memo_hits);
+  EXPECT_EQ(x.memo_misses, y.memo_misses);
+  EXPECT_EQ(x.memo_evictions, y.memo_evictions);
+  EXPECT_EQ(x.memo_bytes, y.memo_bytes);
+  EXPECT_EQ(x.membership_fast_hits, y.membership_fast_hits);
+  EXPECT_EQ(x.membership_fallbacks, y.membership_fallbacks);
 }
 
-TEST(ParallelIntersectTest, LanguageEqualAcrossSeedsAndThreadCounts) {
+TEST(ThreadInvarianceTest, IntersectBitIdenticalAcrossThreadCounts) {
   const RankedAlphabet sigma = DiffcheckAlphabet(false);
-  const std::vector<BinaryTree> trees = AllTreesUpToNodes(sigma, 7, 500);
-  ASSERT_FALSE(trees.empty());
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     const Nbta a = DenseAutomaton(sigma, 0x5eed0000 + seed);
     const Nbta b = DenseAutomaton(sigma, 0xb0b00000 + seed);
-    ASSERT_GE(a.rules.size() + b.rules.size(), 256u)
-        << "instance too sparse to exercise the sharded path";
-    const Nbta serial = IntersectWithThreads(a, b, 1);
-    for (uint32_t threads : {2u, 4u}) {
-      const Nbta parallel = IntersectWithThreads(a, b, threads);
-      ASSERT_TRUE(parallel.Validate(sigma).ok());
-      EXPECT_EQ(parallel.num_states, serial.num_states)
-          << "pair spaces diverged (seed " << seed << ", threads " << threads
-          << ")";
-      EXPECT_EQ(parallel.rules.size(), serial.rules.size());
-      // Language equality through the reference membership oracle alone:
-      // the product must accept exactly the trees both operands accept.
-      for (const BinaryTree& t : trees) {
-        const bool expect = RefAccepts(a, t) && RefAccepts(b, t);
-        ASSERT_EQ(RefAccepts(parallel, t), expect)
-            << "seed " << seed << ", threads " << threads;
-        ASSERT_EQ(RefAccepts(serial, t), expect) << "seed " << seed;
+    TaOpContext ref_ctx;
+    ref_ctx.budgets.num_threads = 1;
+    const Nbta ref = IntersectNbta(NbtaIndex(a), NbtaIndex(b), &ref_ctx);
+    ASSERT_FALSE(ref_ctx.interrupted());
+    ASSERT_TRUE(ref.Validate(sigma).ok());
+    for (uint32_t threads : {0u, 4u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", threads " +
+                   std::to_string(threads));
+      TaOpContext ctx;
+      ctx.budgets.num_threads = threads;
+      const Nbta product = IntersectNbta(NbtaIndex(a), NbtaIndex(b), &ctx);
+      EXPECT_EQ(product.num_symbols, ref.num_symbols);
+      EXPECT_EQ(product.num_states, ref.num_states);
+      EXPECT_EQ(product.accepting, ref.accepting);
+      ASSERT_EQ(product.leaf_rules.size(), ref.leaf_rules.size());
+      for (size_t i = 0; i < ref.leaf_rules.size(); ++i) {
+        ASSERT_EQ(product.leaf_rules[i].symbol, ref.leaf_rules[i].symbol);
+        ASSERT_EQ(product.leaf_rules[i].to, ref.leaf_rules[i].to);
       }
+      ASSERT_EQ(product.rules.size(), ref.rules.size());
+      for (size_t i = 0; i < ref.rules.size(); ++i) {
+        ASSERT_EQ(product.rules[i].symbol, ref.rules[i].symbol) << "rule " << i;
+        ASSERT_EQ(product.rules[i].left, ref.rules[i].left) << "rule " << i;
+        ASSERT_EQ(product.rules[i].right, ref.rules[i].right) << "rule " << i;
+        ASSERT_EQ(product.rules[i].to, ref.rules[i].to) << "rule " << i;
+      }
+      ExpectSameWork(ctx.counters, ref_ctx.counters);
     }
   }
 }
 
-TEST(ParallelIntersectTest, CountersMergeAcrossThreadCounts) {
-  const RankedAlphabet sigma = DiffcheckAlphabet(false);
-  const Nbta a = DenseAutomaton(sigma, 0x11);
-  const Nbta b = DenseAutomaton(sigma, 0x22);
-  TaOpContext serial_ctx;
-  TaOpContext parallel_ctx;
-  IntersectWithThreads(a, b, 1, &serial_ctx);
-  IntersectWithThreads(a, b, 4, &parallel_ctx);
-  EXPECT_EQ(serial_ctx.counters.intersections, 1u);
-  EXPECT_EQ(parallel_ctx.counters.intersections, 1u);
-  // Every (a-rule, b-rule) candidate is scanned the same number of times
-  // regardless of sharding: scans are driven per discovered pair, and the
-  // discovered pair set is schedule-independent.
-  EXPECT_EQ(parallel_ctx.counters.rules_scanned,
-            serial_ctx.counters.rules_scanned);
-  EXPECT_EQ(parallel_ctx.counters.states_materialized,
-            serial_ctx.counters.states_materialized);
-  EXPECT_GT(parallel_ctx.counters.checkpoints, 0u)
-      << "worker checkpoints must merge back into the parent";
+TEST(ThreadInvarianceTest, TypecheckIdenticalAcrossThreadCounts) {
+  Alphabet in_tags, out_tags;
+  auto program =
+      std::move(ParseXslt("template a { b { apply } }\ntemplate c { d }",
+                          &in_tags, &out_tags))
+          .ValueOrDie();
+  auto in_enc = std::move(MakeEncodedAlphabet(in_tags)).ValueOrDie();
+  auto out_enc = std::move(MakeEncodedAlphabet(out_tags)).ValueOrDie();
+  auto t = std::move(CompileXslt(program, in_enc, out_enc)).ValueOrDie();
+  auto in_dtd = std::move(ParseDtd("a := (a|c)*\nc := ()")).ValueOrDie();
+  auto tau1 = std::move(CompileDtdToNbta(in_dtd, in_enc)).ValueOrDie();
+  const Typechecker tc(t, in_enc.ranked, out_enc.ranked);
+  // One instance that typechecks and one the refutation pass refutes.
+  for (const char* out_schema :
+       {"b := (b|d)*\nd := ()", "b := d*\nd := ()"}) {
+    SCOPED_TRACE(out_schema);
+    auto out_dtd = std::move(ParseDtd(out_schema)).ValueOrDie();
+    auto tau2 = std::move(CompileDtdToNbta(out_dtd, out_enc)).ValueOrDie();
+    TypecheckOptions opts;
+    opts.refutation_max_trees = 40;
+    opts.refutation_max_nodes = 15;
+    opts.num_threads = 1;
+    const auto ref = tc.Typecheck(tau1, tau2, opts);
+    ASSERT_TRUE(ref.ok());
+    opts.num_threads = 4;
+    const auto r = tc.Typecheck(tau1, tau2, opts);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->verdict, ref->verdict);
+    EXPECT_EQ(r->method, ref->method);
+    EXPECT_EQ(r->counterexample_input, ref->counterexample_input);
+    EXPECT_EQ(r->counterexample_output, ref->counterexample_output);
+    ExpectSameWork(r->op_counters, ref->op_counters);
+  }
 }
 
-TEST(ParallelIntersectTest, ExpiredDeadlineDrainsAllWorkers) {
+// ------------------------------------------ interrupted intersection -------
+
+TEST(IntersectDrainTest, ExpiredDeadlineDrains) {
   const RankedAlphabet sigma = DiffcheckAlphabet(false);
   const Nbta a = DenseAutomaton(sigma, 0x33);
   const Nbta b = DenseAutomaton(sigma, 0x44);
   TaOpContext ctx;
-  ctx.budgets.num_threads = 4;
   ctx.budgets.deadline = std::chrono::steady_clock::now();
   ctx.budgets.checkpoint_stride = 1;
   Nbta product = IntersectNbta(NbtaIndex(a), NbtaIndex(b), &ctx);
@@ -194,7 +231,7 @@ TEST(ParallelIntersectTest, ExpiredDeadlineDrainsAllWorkers) {
   EXPECT_TRUE(product.Validate(sigma).ok());
 }
 
-TEST(ParallelIntersectTest, MidFlightCancellationDrainsPool) {
+TEST(IntersectDrainTest, MidFlightCancellationDrains) {
   const RankedAlphabet sigma = DiffcheckAlphabet(false);
   // Large, near-total automata: the product has tens of thousands of pair
   // scans, far more than the canceller's latency on any host.
@@ -209,7 +246,6 @@ TEST(ParallelIntersectTest, MidFlightCancellationDrainsPool) {
 
   std::atomic<bool> cancel{false};
   TaOpContext ctx;
-  ctx.budgets.num_threads = 4;
   ctx.budgets.cancel = &cancel;
   std::thread canceller([&cancel] {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -218,31 +254,30 @@ TEST(ParallelIntersectTest, MidFlightCancellationDrainsPool) {
   Nbta product = IntersectNbta(NbtaIndex(a), NbtaIndex(b), &ctx);
   canceller.join();
 
-  // Either the cancellation landed mid-flight (the interesting case: every
-  // worker drained, the sticky kCancelled merged back) or the product beat
-  // the canceller; both must leave a consistent context and a sound result.
+  // Either the cancellation landed mid-flight (the interesting case: the
+  // worklist drained with the sticky kCancelled recorded) or the product
+  // beat the canceller; both must leave a consistent context and a sound
+  // result.
   if (ctx.interrupted()) {
     EXPECT_EQ(ctx.interrupt().code(), StatusCode::kCancelled);
-    // The worker that observed the flag checkpointed (and merged back);
-    // rules_scanned may legitimately be zero if the flag landed before the
-    // first expansion (e.g. under sanitizer slowdown).
+    // The checkpoint that observed the flag was counted; rules_scanned may
+    // legitimately be zero if the flag landed before the first expansion
+    // (e.g. under sanitizer slowdown).
     EXPECT_GT(ctx.counters.checkpoints, 0u);
   } else {
-    EXPECT_EQ(product.num_states,
-              IntersectWithThreads(a, b, 1).num_states);
+    EXPECT_EQ(product.num_states, IntersectNbta(a, b).num_states);
     EXPECT_GT(ctx.counters.rules_scanned, 0u);
   }
   EXPECT_TRUE(product.Validate(sigma).ok());
   EXPECT_EQ(ctx.counters.intersections, 1u);
 }
 
-TEST(ParallelIntersectTest, CancelledBeforeStartProducesEmptyDrain) {
+TEST(IntersectDrainTest, CancelledBeforeStartProducesEmptyDrain) {
   const RankedAlphabet sigma = DiffcheckAlphabet(false);
   const Nbta a = DenseAutomaton(sigma, 0x55);
   const Nbta b = DenseAutomaton(sigma, 0x66);
   std::atomic<bool> cancel{true};
   TaOpContext ctx;
-  ctx.budgets.num_threads = 4;
   ctx.budgets.cancel = &cancel;
   Nbta product = IntersectNbta(NbtaIndex(a), NbtaIndex(b), &ctx);
   EXPECT_TRUE(ctx.interrupted());
