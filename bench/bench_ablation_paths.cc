@@ -101,7 +101,7 @@ BENCHMARK(BM_PathDownward)->Unit(benchmark::kMicrosecond);
 
 void BM_PathAntichain(benchmark::State& state) {
   // Fourth path: no bad-inputs automaton at all. The bounded-refutation
-  // pass with the antichain engine (docs/INCLUSION.md) decides the question
+  // pass (antichain inclusion, docs/INCLUSION.md) decides the question
   // the other three paths build an automaton for — "is some τ1 input mapped
   // outside τ2?" — and exhibits a concrete witness. Complete-decision and
   // the downward fast path are disabled so the timing isolates pass 1.
@@ -115,7 +115,6 @@ void BM_PathAntichain(benchmark::State& state) {
   tau1.AddLeafRule(inst->sigma.Find("m"), u);
   tau1.AddRule(inst->sigma.Find("n"), u, u, u);
   TypecheckOptions opts;
-  opts.inclusion = TaInclusionPath::kAntichain;
   opts.run_complete_decision = false;
   bool refuted = false;
   for (auto _ : state) {
@@ -167,7 +166,6 @@ void BM_PathsAgree(benchmark::State& state) {
     tau1.AddLeafRule(inst->sigma.Find("m"), u);
     tau1.AddRule(inst->sigma.Find("n"), u, u, u);
     TypecheckOptions opts;
-    opts.inclusion = TaInclusionPath::kAntichain;
     opts.run_complete_decision = false;
     auto tcr = tc.Typecheck(tau1, inst->tau2, opts);
     PEBBLETC_CHECK(tcr.ok()) << tcr.status().ToString();

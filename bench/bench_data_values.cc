@@ -58,7 +58,7 @@ struct Workload {
 void BM_ReductionTypecheck(benchmark::State& state) {
   Workload w(static_cast<uint32_t>(state.range(0)));
   Typechecker tc(w.t, w.exp.ranked, w.out_sigma);
-  TypecheckVerdict verdict = TypecheckVerdict::kInconclusive;
+  TypecheckVerdict verdict = TypecheckVerdict::kUnknown;
   for (auto _ : state) {
     auto r = tc.Typecheck(w.tau1, w.tau2);
     PEBBLETC_CHECK(r.ok());
@@ -85,7 +85,7 @@ void BM_ReductionRefutation(benchmark::State& state) {
   tau2_yes.accepting[a] = true;
   tau2_yes.AddLeafRule(w.out_sigma.Find("yes"), a);
   Typechecker tc(w.t, w.exp.ranked, w.out_sigma);
-  TypecheckVerdict verdict = TypecheckVerdict::kInconclusive;
+  TypecheckVerdict verdict = TypecheckVerdict::kUnknown;
   for (auto _ : state) {
     auto r = tc.Typecheck(w.tau1, tau2_yes);
     PEBBLETC_CHECK(r.ok());

@@ -97,7 +97,7 @@ void RunTypecheck(benchmark::State& state, TaMemoMode memo) {
     // Prime once so the timed loop measures the steady warm state.
     PEBBLETC_CHECK(tc.Typecheck(f->tau1, f->tau2, opts).ok());
   }
-  TypecheckVerdict verdict = TypecheckVerdict::kInconclusive;
+  TypecheckVerdict verdict = TypecheckVerdict::kUnknown;
   size_t hits = 0, misses = 0;
   for (auto _ : state) {
     auto r = tc.Typecheck(f->tau1, f->tau2, opts);

@@ -95,7 +95,7 @@ void BM_Q2Refutation(benchmark::State& state) {
   opts.run_complete_decision = false;
   opts.refutation_max_trees = 20;
   opts.refutation_max_nodes = 31;
-  TypecheckVerdict verdict = TypecheckVerdict::kInconclusive;
+  TypecheckVerdict verdict = TypecheckVerdict::kUnknown;
   for (auto _ : state) {
     auto r = tc.Typecheck(f->tau1, f->tau2_bad, opts);
     PEBBLETC_CHECK(r.ok());
@@ -125,7 +125,7 @@ void BM_RenameCompleteFastPath(benchmark::State& state) {
   Typechecker tc(t, in_enc.ranked, out_enc.ranked);
   TypecheckOptions opts;
   opts.refutation_max_trees = 0;
-  TypecheckVerdict verdict = TypecheckVerdict::kInconclusive;
+  TypecheckVerdict verdict = TypecheckVerdict::kUnknown;
   for (auto _ : state) {
     auto r = tc.Typecheck(tau1, tau2, opts);
     PEBBLETC_CHECK(r.ok());

@@ -1538,54 +1538,42 @@ void Harness::CheckTypechecker(size_t iter, Rng& rng) {
     }
   }
 
-  // Laws "typecheck/antichain-verdict" and "typecheck/antichain-witness":
-  // the whole ladder re-run on the antichain inclusion path
-  // (docs/INCLUSION.md) must reach the same verdict as the explicit
-  // pipeline, with the identical counterexample input; the violating output
-  // is engine-specific but for the copy transducer must equal the input.
-  if (!LawDone("typecheck/antichain-verdict") ||
-      !LawDone("typecheck/antichain-witness")) {
-    TypecheckOptions anti_opts = TcOptions();
-    anti_opts.inclusion = TaInclusionPath::kAntichain;
-    Result<TypecheckResult> ares = tc.Typecheck(tau1, tau2, anti_opts);
-    ++report_.comparisons;
-    if (!ares.ok()) {
-      Fail("typecheck/antichain-verdict", iter,
-           "Typecheck on the antichain path failed outright: " +
-               ares.status().ToString(),
-           Repro("typecheck/antichain-verdict", iter, false, &tau1, &tau2,
-                 nullptr, "antichain and explicit runs agree"));
-    } else if (ares->exhausted.exhausted || res->exhausted.exhausted) {
-      // A budget cut on either side makes the verdicts incomparable.
-      ++report_.budget_skips;
-    } else if (ares->verdict != res->verdict) {
-      Fail("typecheck/antichain-verdict", iter,
-           "verdict changed on the antichain path (explicit " +
-               std::to_string(static_cast<int>(res->verdict)) +
-               ", antichain " +
-               std::to_string(static_cast<int>(ares->verdict)) + ")",
-           Repro("typecheck/antichain-verdict", iter, false, &tau1, &tau2,
-                 nullptr, "antichain and explicit runs agree"));
-    } else if (ares->verdict == TypecheckVerdict::kCounterexample &&
-               !LawDone("typecheck/antichain-witness")) {
+  // Law "typecheck/check-on-input": the per-input inclusion check behind
+  // every pass of the typechecker (the antichain search, docs/INCLUSION.md)
+  // against the reference oracle. The copy transducer has T(t) = {t}, so
+  // CheckOnInput(t, τ2) must equal RefAccepts(τ2, t) on every small tree,
+  // and a refutation's violating output must be t itself.
+  if (!LawDone("typecheck/check-on-input")) {
+    auto agrees = [&](const Nbta& c2, const BinaryTree& ct) -> Result<bool> {
+      std::optional<BinaryTree> out;
+      PEBBLETC_ASSIGN_OR_RETURN(bool included,
+                                tc.CheckOnInput(ct, c2, TcOptions(), &out));
+      if (included != RefAccepts(c2, ct)) return false;
+      return included || (out.has_value() && *out == ct);
+    };
+    for (const BinaryTree& t : exhaustive_base_) {
+      Result<bool> ok = agrees(tau2, t);
+      if (!ok.ok()) {
+        const StatusCode code = ok.status().code();
+        if (code == StatusCode::kResourceExhausted ||
+            code == StatusCode::kDeadlineExceeded) {
+          ++report_.budget_skips;
+          continue;
+        }
+        Fail("harness/op-error", iter,
+             "CheckOnInput: " + ok.status().ToString(), "");
+        break;
+      }
       ++report_.comparisons;
-      const bool same_input =
-          ares->counterexample_input.has_value() &&
-          res->counterexample_input.has_value() &&
-          *ares->counterexample_input == *res->counterexample_input;
-      const bool output_ok =
-          !ares->counterexample_output.has_value() ||
-          *ares->counterexample_output == *ares->counterexample_input;
-      if (!same_input || !output_ok) {
-        Fail("typecheck/antichain-witness", iter,
-             "the antichain path must report the same counterexample input "
-             "as the explicit pipeline (and, for the copy transducer, an "
-             "output equal to it)",
-             Repro("typecheck/antichain-witness", iter, false, &tau1, &tau2,
-                   ares->counterexample_input.has_value()
-                       ? &*ares->counterexample_input
-                       : nullptr,
-                   "antichain counterexample matches explicit"));
+      if (!*ok) {
+        FailTree1("typecheck/check-on-input", iter, false, tau2, t,
+                  "CheckOnInput(t, τ2) must equal RefAccepts(τ2, t), with "
+                  "violating output t on refutation (copy transducer)",
+                  [&](const Nbta& c2, const BinaryTree& ct) {
+                    Result<bool> r = agrees(c2, ct);
+                    return r.ok() && !*r;
+                  });
+        break;
       }
     }
   }

@@ -55,20 +55,6 @@ bool IsExhaustion(StatusCode code) {
          code == StatusCode::kCancelled || code == StatusCode::kLimitExceeded;
 }
 
-// Resolves the kAuto inclusion mode against the Martens–Neven fragment
-// detector: antichain when τ2 is bottom-up deterministic (DTD-shaped).
-bool UseAntichain(const TypecheckOptions& options, const Nbta& output_type) {
-  switch (options.inclusion) {
-    case TaInclusionPath::kExplicit:
-      return false;
-    case TaInclusionPath::kAntichain:
-      return true;
-    case TaInclusionPath::kAuto:
-      return NbtaIsBottomUpDeterministic(output_type);
-  }
-  return false;
-}
-
 }  // namespace
 
 Typechecker::Typechecker(const PebbleTransducer& transducer,
@@ -78,50 +64,28 @@ Typechecker::Typechecker(const PebbleTransducer& transducer,
       input_alphabet_(input_alphabet),
       output_alphabet_(output_alphabet) {}
 
-Result<bool> Typechecker::CheckOnInputImpl(
-    const BinaryTree& input, const NbtaIndex& not_tau2, TaOpContext* ctx,
-    std::optional<BinaryTree>* violating_output) const {
-  PEBBLETC_ASSIGN_OR_RETURN(
-      OutputAutomaton a_t,
-      BuildOutputAutomaton(transducer_, input, ctx->budgets.max_configs, ctx));
-  Nbta outputs = TopDownToNbta(a_t.automaton, ctx);
-  // The intersection's worklist only materializes inhabited product states,
-  // so the witness search runs on it directly (no extra trim needed). The
-  // per-input product deliberately bypasses the op cache: every enumerated
-  // tree yields a distinct operand, so entries would never be re-hit
-  // (docs/CACHING.md).
-  Nbta bad = IntersectNbta(NbtaIndex(outputs, ctx), not_tau2, ctx);
-  std::optional<BinaryTree> witness = WitnessTree(NbtaIndex(bad, ctx), ctx);
-  if (witness.has_value()) {
-    // A witness in a (possibly partial) product is a genuine violation.
-    if (violating_output != nullptr) *violating_output = std::move(witness);
-    return false;
-  }
-  // "No witness" is only trustworthy if nothing above drained early.
-  PEBBLETC_RETURN_IF_ERROR(TaInterruptStatus(ctx));
-  return true;
-}
-
-Result<bool> Typechecker::CheckOnInputAntichain(
+Result<bool> Typechecker::CheckImage(
     const BinaryTree& input, const NbtaIndex& tau2_idx, TaOpContext* ctx,
     std::optional<BinaryTree>* violating_output) const {
   PEBBLETC_ASSIGN_OR_RETURN(
       OutputAutomaton a_t,
       BuildOutputAutomaton(transducer_, input, ctx->budgets.max_configs, ctx));
   Nbta outputs = TopDownToNbta(a_t.automaton, ctx);
-  NbtaIndex outputs_idx(outputs, ctx);
-  // Like the per-input product above, the per-input inclusion bypasses the
-  // op cache: every enumerated tree yields a distinct operand hash that
-  // would never be re-hit (docs/CACHING.md).
+  // The per-input inclusion bypasses the op cache: every enumerated tree
+  // yields a distinct operand hash that would never be re-hit
+  // (docs/CACHING.md).
   PEBBLETC_ASSIGN_OR_RETURN(
       NbtaInclusionResult incl,
-      NbtaIncludedIn(outputs_idx, tau2_idx, output_alphabet_, ctx));
+      NbtaIncludedIn(NbtaIndex(outputs, ctx), tau2_idx, output_alphabet_, ctx));
   if (!incl.included) {
+    // A counterexample found in a (possibly drained) A_t is still genuine.
     if (violating_output != nullptr) {
       *violating_output = std::move(incl.counterexample);
     }
     return false;
   }
+  // "Included" is only trustworthy if A_t did not drain early.
+  PEBBLETC_RETURN_IF_ERROR(TaInterruptStatus(ctx));
   return true;
 }
 
@@ -130,17 +94,8 @@ Result<bool> Typechecker::CheckOnInput(
     const TypecheckOptions& options,
     std::optional<BinaryTree>* violating_output) const {
   TaOpContext ctx = MakeContext(options);
-  const TaAlgebra alg;
-  if (UseAntichain(options, output_type)) {
-    NbtaIndex tau2_idx(output_type, &ctx);
-    return CheckOnInputAntichain(input, tau2_idx, &ctx, violating_output);
-  }
-  PEBBLETC_ASSIGN_OR_RETURN(
-      Nbta not_tau2,
-      alg.Complement(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx));
-  Nbta trimmed = TrimNbta(NbtaIndex(not_tau2, &ctx), &ctx);
-  return CheckOnInputImpl(input, NbtaIndex(trimmed, &ctx), &ctx,
-                          violating_output);
+  return CheckImage(input, NbtaIndex(output_type, &ctx), &ctx,
+                    violating_output);
 }
 
 Result<Nbta> Typechecker::BadInputsAutomaton(const Nbta& not_tau2_trimmed,
@@ -258,79 +213,20 @@ Result<TypecheckResult> Typechecker::Typecheck(
     }
   };
 
-  // complement(τ2) is the workhorse of the explicit passes; compute it (and
-  // its rule index) once and share it, instead of re-determinizing per pass
-  // — and, in the refutation pass, per enumerated input tree. On the antichain
-  // path (docs/INCLUSION.md) pass 1 never touches the complement, so it is
-  // deferred until a later pass asks for it (ensure_complement below): a
-  // pass-1 refutation returns without ever determinizing τ2.
-  const bool use_antichain = UseAntichain(options, output_type);
-  std::optional<Result<Nbta>> complement_or;
-  if (!use_antichain) {
-    complement_or =
-        alg.Complement(NbtaIndex(output_type, &ctx), output_alphabet_, &ctx);
-    if (!complement_or->ok()) {
-      if (!IsExhaustion(complement_or->status().code())) {
-        return complement_or->status();
-      }
-      note_exhaustion("output-complement", complement_or->status());
-      // Every explicit pass needs the complement, but the degraded search
-      // tests τ2 membership directly and can still refute.
-      RunDegradedSearch(input_type, output_type, options, &result);
-      result.op_counters = ctx.counters;
-      return result;
-    }
-  }
-
-  // Lazily materialized complement artifacts. ensure_complement() yields
-  // true once the trimmed complement and its index are available, false
-  // after noting an exhaustion (at most once; later passes skip silently),
-  // and propagates hard errors. On the explicit path the complement already
-  // exists, so the first call only trims and indexes it — bit-for-bit the
-  // legacy sequence.
-  std::optional<Nbta> not_tau2;
-  std::optional<NbtaIndex> not_tau2_idx;
-  bool complement_failed = false;
-  auto ensure_complement = [&]() -> Result<bool> {
-    if (not_tau2_idx.has_value()) return true;
-    if (complement_failed) return false;
-    if (!complement_or.has_value()) {
-      complement_or = alg.Complement(NbtaIndex(output_type, &ctx),
-                                     output_alphabet_, &ctx);
-    }
-    if (!complement_or->ok()) {
-      if (!IsExhaustion(complement_or->status().code())) {
-        return complement_or->status();
-      }
-      note_exhaustion("output-complement", complement_or->status());
-      complement_failed = true;
-      return false;
-    }
-    not_tau2 = TrimNbta(NbtaIndex(**complement_or, &ctx), &ctx);
-    not_tau2_idx.emplace(*not_tau2, &ctx);
-    return true;
-  };
-  if (!use_antichain) {
-    // Success is guaranteed here (the eager block above returned on
-    // failure); this just materializes the shared trimmed index for pass 1.
-    PEBBLETC_RETURN_IF_ERROR(ensure_complement().status());
-  }
+  // One index of τ2 serves every per-input inclusion check of the run and
+  // the complement below.
+  const NbtaIndex tau2_idx(output_type, &ctx);
 
   // Pass 1: bounded refutation — exact per-input checks on small τ1 trees.
-  // Antichain mode checks image(input) ⊆ τ2 directly against a shared τ2
-  // index; explicit mode intersects with the complement index built above.
+  // The antichain search never builds complement(τ2), so a pass-1
+  // refutation returns without ever determinizing τ2.
   if (options.refutation_max_trees > 0) {
-    std::optional<NbtaIndex> tau2_idx;
-    if (use_antichain) tau2_idx.emplace(output_type, &ctx);
     std::vector<BinaryTree> inputs =
         EnumerateAcceptedTrees(input_type, options.refutation_max_nodes,
                                options.refutation_max_trees, &ctx);
     for (BinaryTree& input : inputs) {
       std::optional<BinaryTree> violating;
-      auto ok =
-          use_antichain
-              ? CheckOnInputAntichain(input, *tau2_idx, &ctx, &violating)
-              : CheckOnInputImpl(input, *not_tau2_idx, &ctx, &violating);
+      auto ok = CheckImage(input, tau2_idx, &ctx, &violating);
       if (!ok.ok()) {
         if (!IsExhaustion(ok.status().code())) return ok.status();
         note_exhaustion("bounded-refutation", ok.status());
@@ -347,14 +243,24 @@ Result<TypecheckResult> Typechecker::Typecheck(
     }
   }
 
-  // Passes 2/3 need the explicit complement even in antichain mode (pass 2
-  // determinizes ¬τ2; pass 3 inverts it). If the deferred complement
-  // exhausts its budget here, those passes are skipped with the exhaustion
-  // noted — exactly what an explicit-mode run would have recorded up front.
-  bool have_complement = false;
+  // Passes 2/3 need the explicit complement (pass 2 determinizes ¬τ2; pass 3
+  // inverts it), built only now and shared by both. If it exhausts its
+  // budget, both passes are skipped with the exhaustion noted, and the
+  // salvage search below still gets its chance.
+  std::optional<Nbta> not_tau2;
+  std::optional<NbtaIndex> not_tau2_idx;
   if (IsDownwardTransducer(transducer_) || options.run_complete_decision) {
-    PEBBLETC_ASSIGN_OR_RETURN(have_complement, ensure_complement());
+    Result<Nbta> complement = alg.Complement(tau2_idx, output_alphabet_, &ctx);
+    if (complement.ok()) {
+      not_tau2 = TrimNbta(NbtaIndex(*complement, &ctx), &ctx);
+      not_tau2_idx.emplace(*not_tau2, &ctx);
+    } else if (IsExhaustion(complement.status().code())) {
+      note_exhaustion("output-complement", complement.status());
+    } else {
+      return complement.status();
+    }
   }
+  const bool have_complement = not_tau2_idx.has_value();
 
   // Pass 2: complete decision for the downward fragment.
   if (IsDownwardTransducer(transducer_) && have_complement) {
@@ -383,8 +289,7 @@ Result<TypecheckResult> Typechecker::Typecheck(
       r.verdict = TypecheckVerdict::kCounterexample;
       // Recover a violating output for the witness input.
       std::optional<BinaryTree> violating;
-      auto per_tree =
-          CheckOnInputImpl(*witness, *not_tau2_idx, &ctx, &violating);
+      auto per_tree = CheckImage(*witness, tau2_idx, &ctx, &violating);
       if (per_tree.ok() && !*per_tree) {
         r.counterexample_output = std::move(violating);
       }
@@ -426,8 +331,7 @@ Result<TypecheckResult> Typechecker::Typecheck(
       } else {
         result.verdict = TypecheckVerdict::kCounterexample;
         std::optional<BinaryTree> violating;
-        auto per_tree =
-            CheckOnInputImpl(*witness, *not_tau2_idx, &ctx, &violating);
+        auto per_tree = CheckImage(*witness, tau2_idx, &ctx, &violating);
         if (per_tree.ok() && !*per_tree) {
           result.counterexample_output = std::move(violating);
         }

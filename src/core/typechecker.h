@@ -4,13 +4,11 @@
 //
 // Three cooperating procedures, in escalating cost:
 //  1. *Bounded refutation*: enumerate small τ1-trees, and for each t decide
-//     T(t) ⊆ τ2 exactly via the Prop. 3.8 automaton A_t (inst(A_t) = T(t)).
-//     Two engines, selected by TypecheckOptions::inclusion: emptiness of
-//     A_t ∩ complement(τ2) (kExplicit, the default), or the antichain
-//     on-the-fly inclusion search NbtaIncludedIn(A_t, τ2) that never
-//     materializes the complement (kAntichain / kAuto; docs/INCLUSION.md).
-//     Finds concrete counterexamples (input *and* violating output)
-//     quickly; cannot prove correctness.
+//     T(t) ⊆ τ2 exactly via the Prop. 3.8 automaton A_t (inst(A_t) = T(t))
+//     and the antichain inclusion search NbtaIncludedIn(A_t, τ2), which
+//     never materializes complement(τ2) (docs/INCLUSION.md). Finds concrete
+//     counterexamples (input *and* violating output) quickly; cannot prove
+//     correctness.
 //  2. *Downward fast path* (complete for the top-down fragment): the lazy
 //     subset construction of src/core/downward.h.
 //  3. *Complete decision* (any k): the paper's pipeline — Prop. 4.6 product
@@ -39,37 +37,20 @@
 
 namespace pebbletc {
 
-/// Which inclusion engine the bounded-refutation pass (and CheckOnInput)
-/// uses to decide T(t) ⊆ τ2 per input tree (docs/INCLUSION.md).
-enum class TaInclusionPath : uint8_t {
-  /// The legacy pipeline, bit-for-bit: complement(τ2) eagerly (one subset
-  /// construction up front, budgeted by `max_det_states`), then per-input
-  /// products + emptiness. The default — the serial oracle and the
-  /// fault-injection harness rely on its exact checkpoint ordinals.
-  kExplicit = 0,
-  /// Antichain on-the-fly inclusion (NbtaIncludedIn): no complement or
-  /// determinization up front; each per-input check searches the implicit
-  /// product of T(t) with the determinized-on-demand complement of τ2,
-  /// budgeted by `max_antichain_pairs`. complement(τ2) is computed lazily,
-  /// only if the exact passes 2/3 still run. Verdicts and counterexample
-  /// *inputs* agree with kExplicit (same enumeration order, same first
-  /// violator; passes 2/3 are shared); the violating *output* attached to a
-  /// pass-1 refutation is genuine but not necessarily the size-minimal tree
-  /// kExplicit reports.
-  kAntichain = 1,
-  /// Pick kAntichain when the output type is bottom-up deterministic (the
-  /// Martens–Neven tractable fragment, which every DTD-shaped schema
-  /// compiles into — NbtaIsBottomUpDeterministic), else kExplicit.
-  kAuto = 2,
-};
+/// Has no effect: every per-input check runs the antichain search
+/// (docs/INCLUSION.md), so kAntichain is the only engine. Kept declared, with
+/// the `inclusion` fields below and on ServeOptions, only because the
+/// end-to-end benchmark's replay (perfbench/src/replay.cc) still names it.
+enum class TaInclusionPath : uint8_t { kAntichain };
 
 struct TypecheckOptions {
   /// Budget for each determinization in the MSO pipeline (0 = unlimited).
   size_t max_det_states = 200000;
   /// Budget for per-tree configuration spaces (Prop. 3.8).
   size_t max_configs = 1u << 20;
-  /// Inclusion engine for the per-input checks (see TaInclusionPath).
-  TaInclusionPath inclusion = TaInclusionPath::kExplicit;
+  /// Has no effect (see TaInclusionPath). Kept declared only because the
+  /// end-to-end benchmark's replay (perfbench/src/replay.cc) still assigns it.
+  TaInclusionPath inclusion = TaInclusionPath::kAntichain;
   /// Pair-arena budget for each antichain inclusion search (0 = unlimited);
   /// exceeding it surfaces as kResourceExhausted from the owning pass, like
   /// every other budget on the ladder.
@@ -146,8 +127,6 @@ enum class TypecheckVerdict {
   /// All enabled procedures exhausted their budgets / deadline; neither
   /// proven nor refuted.
   kUnknown,
-  /// Legacy name for kUnknown.
-  kInconclusive = kUnknown,
 };
 
 /// Why (and where) a run failed to reach an exact verdict. Populated the
@@ -211,11 +190,11 @@ class Typechecker {
                                 const TypecheckOptions& options = {}) const;
 
   /// Exact per-input check: T(input) ⊆ output_type? On refutation fills
-  /// `*violating_output` (if non-null) with a witness output. Routed by
-  /// options.inclusion: kExplicit complements τ2 (budget `max_det_states`,
-  /// exhaustion code kResourceExhausted); kAntichain/kAuto run the
-  /// complement-free antichain search (budget `max_antichain_pairs`, same
-  /// code). Both honor deadline/cancel with kDeadlineExceeded/kCancelled.
+  /// `*violating_output` (if non-null) with a witness output (genuine, but
+  /// not necessarily the smallest one). Runs the
+  /// complement-free antichain search (budget `max_antichain_pairs`,
+  /// exhaustion code kResourceExhausted) and honors deadline/cancel with
+  /// kDeadlineExceeded/kCancelled.
   Result<bool> CheckOnInput(const BinaryTree& input, const Nbta& output_type,
                             const TypecheckOptions& options = {},
                             std::optional<BinaryTree>* violating_output =
@@ -243,22 +222,13 @@ class Typechecker {
                          const TypecheckOptions& options,
                          TypecheckResult* result) const;
 
-  // Per-input check against a pre-built index of the trimmed complement of
-  // the output type; all the per-tree work of CheckOnInput without
-  // recomputing the complement per call.
-  Result<bool> CheckOnInputImpl(const BinaryTree& input,
-                                const NbtaIndex& not_tau2,
-                                TaOpContext* ctx,
-                                std::optional<BinaryTree>* violating_output)
-      const;
-
-  // Complement-free per-input check (the kAntichain path): T(input) ⊆ τ2
-  // via NbtaIncludedIn of the Prop. 3.8 output automaton against a shared
-  // index of τ2 itself. A refutation's inclusion counterexample *is* the
-  // violating output.
-  Result<bool> CheckOnInputAntichain(
-      const BinaryTree& input, const NbtaIndex& tau2_idx, TaOpContext* ctx,
-      std::optional<BinaryTree>* violating_output) const;
+  // The per-input check behind CheckOnInput, pass 1 and the violating-output
+  // recovery after a pass-2/3 witness: T(input) ⊆ τ2 via NbtaIncludedIn of
+  // the Prop. 3.8 output automaton against a shared index of τ2 itself. A
+  // refutation's inclusion counterexample *is* the violating output.
+  Result<bool> CheckImage(const BinaryTree& input, const NbtaIndex& tau2_idx,
+                          TaOpContext* ctx,
+                          std::optional<BinaryTree>* violating_output) const;
 
   const PebbleTransducer& transducer_;
   const RankedAlphabet& input_alphabet_;

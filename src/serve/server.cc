@@ -232,7 +232,6 @@ TypecheckOptions RequestOptions(const ServeOptions& server,
   opts.cancel = cancel;
   opts.max_det_states = server.max_det_states;
   opts.max_antichain_pairs = server.max_antichain_pairs;
-  opts.inclusion = server.inclusion;
   opts.memo = server.memo;  // auto-bypassed when an injector is installed
   opts.fault_injector = injector;
   return opts;

@@ -61,11 +61,11 @@ struct ServeOptions {
   /// Budgets forwarded into TypecheckOptions.
   size_t max_det_states = 200000;
   size_t max_antichain_pairs = 200000;
-  /// Which inclusion engine typecheck requests run (docs/INCLUSION.md):
-  /// kExplicit keeps the legacy determinize+complement pipeline; kAntichain
-  /// forces the on-the-fly check; kAuto picks the antichain path when the
-  /// output type is bottom-up deterministic (DTD-shaped schemas).
-  TaInclusionPath inclusion = TaInclusionPath::kExplicit;
+  /// Has no effect: typecheck requests always run the antichain inclusion
+  /// engine (docs/INCLUSION.md), and the server does not forward this field.
+  /// Kept declared only because the end-to-end benchmark's replay
+  /// (perfbench/src/replay.cc) still reads it.
+  TaInclusionPath inclusion = TaInclusionPath::kAntichain;
   /// Worker threads per kValidateBatch request (1 = serial; the daemon's
   /// concurrency comes from serving requests in parallel, not from
   /// intra-request fan-out). Typecheck requests are always serial.

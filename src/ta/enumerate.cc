@@ -75,12 +75,13 @@ std::vector<BinaryTree> EnumerateAcceptedTrees(const Nbta& a, size_t max_nodes,
   for (size_t s = 3; s <= max_nodes && out.size() < max_count; s += 2) {
     for (const Nbta::BinaryRule& r : a.rules) {
       for (size_t s1 = 1; s1 + 2 <= s; s1 += 2) {
-        // Interrupted: return the trees emitted so far — each is a genuine
-        // accepted tree; only exhaustiveness of the sweep is lost.
-        if (!TaCheckpoint(ctx).ok()) return out;
         const size_t s2 = s - 1 - s1;
         for (const BinaryTree& lt : per_state[r.left][s1]) {
           for (const BinaryTree& rt : per_state[r.right][s2]) {
+            // Polled per combined tree, since one cross product can be
+            // large. Interrupted: return the trees emitted so far — each is
+            // a genuine accepted tree; only exhaustiveness is lost.
+            if (!TaCheckpoint(ctx).ok()) return out;
             BinaryTree combined;
             NodeId l = combined.CopySubtree(lt, lt.root());
             NodeId rr = combined.CopySubtree(rt, rt.root());

@@ -334,28 +334,6 @@ Result<NbtaInclusionResult> NbtaIncludedIn(const Nbta& a, const Nbta& b,
   return NbtaIncludedIn(ia, ib, alphabet, &ctx);
 }
 
-bool NbtaIsBottomUpDeterministic(const Nbta& a) {
-  std::unordered_map<uint64_t, StateId> leaf_target;
-  for (const auto& r : a.leaf_rules) {
-    auto [it, inserted] = leaf_target.emplace(r.symbol, r.to);
-    if (!inserted && it->second != r.to) return false;
-  }
-  // Key (symbol, left, right) → target; a second distinct target under the
-  // same key is a nondeterministic choice. Hash on a mixed key, resolving
-  // the (astronomically unlikely within one automaton) collisions by
-  // re-deriving from packed fields: symbol/left/right each fit 21 bits for
-  // every automaton this library builds (SymbolId/StateId are dense).
-  std::unordered_map<uint64_t, StateId> rule_target;
-  for (const auto& r : a.rules) {
-    const uint64_t key = (static_cast<uint64_t>(r.symbol) << 42) |
-                         (static_cast<uint64_t>(r.left) << 21) |
-                         static_cast<uint64_t>(r.right);
-    auto [it, inserted] = rule_target.emplace(key, r.to);
-    if (!inserted && it->second != r.to) return false;
-  }
-  return true;
-}
-
 Nbta SingletonTreeNbta(const BinaryTree& tree, uint32_t num_symbols) {
   PEBBLETC_CHECK(!tree.empty()) << "SingletonTreeNbta on empty tree";
   Nbta a;

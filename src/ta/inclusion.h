@@ -83,17 +83,6 @@ Result<NbtaInclusionResult> NbtaIncludedIn(const Nbta& a, const Nbta& b,
                                            const RankedAlphabet& alphabet,
                                            size_t max_pairs = 0);
 
-/// True iff `a` is bottom-up deterministic: no two leaf rules share a symbol
-/// with distinct targets, and no two binary rules share (symbol, left,
-/// right) with distinct targets (duplicate rules are fine). This is the
-/// Martens–Neven tractable fragment detector: when the *superset* automaton
-/// B is bottom-up deterministic — every DTD-shaped schema compiles to one —
-/// each reachable B-set of the antichain search is a singleton or empty, so
-/// NbtaIncludedIn runs in polynomial time. TypecheckOptions' kAuto inclusion
-/// mode uses this to pick the antichain path per request. O(|rules|)
-/// hashing; no budgets apply.
-bool NbtaIsBottomUpDeterministic(const Nbta& a);
-
 /// The automaton accepting exactly {tree}: one state per node, the root
 /// state accepting. Used to encode a counterexample tree as a cacheable
 /// automaton payload (docs/CACHING.md) and by tests; `tree` must be

@@ -19,12 +19,15 @@
 #include <vector>
 
 #include "src/alphabet/alphabet.h"
+#include "src/check/diffcheck.h"
+#include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/core/downward.h"
 #include "src/core/typechecker.h"
 #include "src/pt/paper_machines.h"
 #include "src/pt/transducer.h"
 #include "src/ta/nbta.h"
+#include "src/ta/random_ta.h"
 
 namespace pebbletc {
 namespace {
@@ -250,6 +253,34 @@ TEST(FaultInjectionTest, DeadlineOnTwoPebbleBlowupReturnsUnknownWithReport) {
   // The deadline (50 ms) plus the salvage budget plus unwind overhead must
   // stay well under this bound even in sanitizer builds.
   EXPECT_LT(elapsed, std::chrono::seconds(10));
+}
+
+TEST(FaultInjectionTest, DeadlineInsideRefutationEnumerationReturnsUnknown) {
+  // Enumerating this τ1's small trees for pass 1 runs long cross products
+  // of subtrees; a 100 ms deadline must stop the enumeration inside them,
+  // not seconds later, and the run must come back as a clean kUnknown
+  // blamed on the bounded-refutation pass.
+  RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
+  PebbleTransducer copy = MakeCopyTransducer(sigma);
+  Typechecker tc(copy, sigma, sigma);
+  Rng rng(1013);
+  RandomNbtaOptions gen;
+  gen.num_states = 5;
+  gen.rule_density = 0.3;
+  gen.leaf_density = 0.5;
+  Nbta tau1 = RandomNbta(sigma, rng, gen);
+  Nbta tau2 = RandomNbta(sigma, rng, gen);
+  TypecheckOptions opts;
+  opts.deadline = std::chrono::milliseconds(100);
+  const auto start = std::chrono::steady_clock::now();
+  auto r = tc.Typecheck(tau1, tau2, opts);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->verdict, TypecheckVerdict::kUnknown);
+  EXPECT_TRUE(r->exhausted.exhausted);
+  EXPECT_EQ(r->exhausted.code, StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(r->exhausted.pass, "bounded-refutation");
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 }  // namespace

@@ -158,25 +158,6 @@ TEST(InclusionTest, RewiredIncludesAndEquivalentAgree) {
   EXPECT_FALSE(*ne);
 }
 
-TEST(InclusionTest, BottomUpDeterministicDetector) {
-  RankedAlphabet sigma = TinyRanked();
-  Nbta det = AllLeavesA0(sigma);
-  EXPECT_TRUE(NbtaIsBottomUpDeterministic(det));
-  // Duplicate rules are not nondeterminism.
-  det.AddRule(sigma.Find("a2"), 0, 0, 0);
-  EXPECT_TRUE(NbtaIsBottomUpDeterministic(det));
-  // A second target for the same (symbol, left, right) is.
-  Nbta nondet = AllLeavesA0(sigma);
-  StateId q2 = nondet.AddState();
-  nondet.AddRule(sigma.Find("a2"), 0, 0, q2);
-  EXPECT_FALSE(NbtaIsBottomUpDeterministic(nondet));
-  // Two targets for one leaf symbol too.
-  Nbta leaf_nondet = AllLeavesA0(sigma);
-  StateId q3 = leaf_nondet.AddState();
-  leaf_nondet.AddLeafRule(sigma.Find("a0"), q3);
-  EXPECT_FALSE(NbtaIsBottomUpDeterministic(leaf_nondet));
-}
-
 TEST(InclusionTest, SingletonTreeNbtaAcceptsExactlyTheTree) {
   RankedAlphabet sigma = TinyRanked();
   BinaryTree t;
@@ -206,7 +187,6 @@ TEST(InclusionTest, DeterministicSupersetKeepsPairsSmall) {
   opts.num_states = 5;
   Nbta a = RandomNbta(sigma, rng, opts);
   Nbta b = AllLeavesA0(sigma);
-  ASSERT_TRUE(NbtaIsBottomUpDeterministic(b));
   NbtaIndex ia(a, &ctx);
   NbtaIndex ib(b, &ctx);
   auto r = NbtaIncludedIn(ia, ib, sigma, &ctx);

@@ -59,10 +59,6 @@ int Usage(const char* argv0) {
       "                              outside the supported window, never\n"
       "                              clamped)\n"
       "  --max-batch-docs=N          documents per kValidateBatch request\n"
-      "  --inclusion=explicit|antichain|auto\n"
-      "                              inclusion engine (default explicit;\n"
-      "                              auto picks antichain for DTD-shaped\n"
-      "                              output schemas, see docs/INCLUSION.md)\n"
       "  --memo=off|memory           op-cache mode (default memory)\n"
       "  --no-load                   disable the kLoadArtifact wire op\n",
       argv0);
@@ -121,16 +117,6 @@ int main(int argc, char** argv) {
       if (!ParseU32(v, &options.max_frame_bytes)) return Usage(argv[0]);
     } else if (const char* v = value("--max-batch-docs=")) {
       if (!ParseU32(v, &options.validity.max_batch_docs)) {
-        return Usage(argv[0]);
-      }
-    } else if (const char* v = value("--inclusion=")) {
-      if (std::strcmp(v, "explicit") == 0) {
-        options.inclusion = TaInclusionPath::kExplicit;
-      } else if (std::strcmp(v, "antichain") == 0) {
-        options.inclusion = TaInclusionPath::kAntichain;
-      } else if (std::strcmp(v, "auto") == 0) {
-        options.inclusion = TaInclusionPath::kAuto;
-      } else {
         return Usage(argv[0]);
       }
     } else if (const char* v = value("--memo=")) {
