@@ -1,22 +1,17 @@
 // Shared benchmark main: every bench_* binary reports the host's core count
 // in its context block, so a BENCH_*.json produced from any harness carries
-// the same `host_nproc` / `host_hardware_workers` caveat uniformly (a 1-core
-// container makes thread-scaling rows measure pure overhead — see
-// BENCH_parallel.json and docs/PARALLEL.md).
+// the same `host_nproc` caveat uniformly (a 1-core container makes
+// thread-scaling rows measure pure overhead — see BENCH_parallel.json and
+// docs/PARALLEL.md).
 
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <thread>
 
-#include "src/ta/thread_pool.h"
-
 int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "host_nproc", std::to_string(std::thread::hardware_concurrency()));
-  benchmark::AddCustomContext(
-      "host_hardware_workers",
-      std::to_string(pebbletc::TaThreadPool::HardwareWorkers()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -5,9 +5,9 @@
 //    (open-addressing interner keyed on packed uint64 pairs, per-a-rule
 //    emitted bitmap) on the dense diffcheck family at n states per side.
 //  * BM_DiffcheckSweepThreads: the oracle sweep at 1/2/4/8 workers, in wall
-//    time. The sweep is the one TaThreadPool user that scales on real cores;
-//    the product construction is serial (see "Why the product is serial" in
-//    docs/PARALLEL.md).
+//    time. The sweep is the one parallel code path left, and it scales on
+//    real cores; the product construction is serial (see "Why the product is
+//    serial" in docs/PARALLEL.md).
 //
 // CI runs this binary in the bench-smoke job with tiny sizes and uploads the
 // JSON as the BENCH_parallel.json artifact; the checked-in

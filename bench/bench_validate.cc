@@ -208,12 +208,13 @@ void BM_ValidateStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateStreaming);
 
-// ----------------------------------------------- batch serve fan-out -------
+// ---------------------------------------------------- batch serve -------
 
 // kValidateBatch through a warm ServerCore: the plan is compiled by the
 // first (untimed) request and served from the plan cache inside the loop,
 // so rows measure steady-state per-document cost including decode, validity,
-// admission, dispatch, and response encoding.
+// admission, dispatch, and response encoding. The batch runs serial on the
+// calling thread, so the rows do not depend on the host's core count.
 void BM_ServeBatchWarm(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   serve::ServeOptions options;

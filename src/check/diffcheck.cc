@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -31,7 +32,6 @@
 #include "src/ta/op_context.h"
 #include "src/ta/serialize.h"
 #include "src/ta/random_ta.h"
-#include "src/ta/thread_pool.h"
 #include "src/ta/topdown.h"
 #include "src/tree/encode.h"
 #include "src/tree/random_tree.h"
@@ -1189,10 +1189,10 @@ void Harness::CheckMembership(size_t iter, bool extended, const Nbta& a,
     }
   }
 
-  // Law "membership/batch": the forked batch fan-out returns exactly the
-  // verdicts of a sequential ValidateDoc loop — same codes, same validity
-  // bits, same diagnostics — on a mixed batch of well-formed, rejected,
-  // unknown-tag, and malformed documents.
+  // Law "membership/batch": ValidateBatch, with its one arena reset between
+  // documents, returns exactly the verdicts of a ValidateDoc loop — same
+  // codes, same validity bits, same diagnostics — on a mixed batch of
+  // well-formed, rejected, unknown-tag, and malformed documents.
   if (!LawDone("membership/batch")) {
     SchemaArtifact schema{enc_.ranked, m};
     Result<serve::ValidationPlan> plan = serve::CompileSchemaPlan(schema);
@@ -1217,7 +1217,6 @@ void Harness::CheckMembership(size_t iter, bool extended, const Nbta& a,
       seq.push_back(serve::ValidateDoc(*plan, d));
     }
     TaOpContext bctx;
-    bctx.budgets.num_threads = 3;
     serve::BatchResult batch = serve::ValidateBatch(*plan, docs, &bctx);
     ++report_.comparisons;
     std::string mismatch;
@@ -1250,7 +1249,7 @@ void Harness::CheckMembership(size_t iter, bool extended, const Nbta& a,
       os << FormatNbtaConstruction(m, enc_.ranked, "m")
          << "// expect: ValidateBatch verdicts == sequential ValidateDoc\n";
       Fail("membership/batch", iter,
-           "batch fan-out agrees with sequential validation: " + mismatch,
+           "batch agrees with per-document validation: " + mismatch,
            os.str());
     }
   }
@@ -1730,39 +1729,54 @@ std::string FormatNbtaConstruction(const Nbta& a, const RankedAlphabet& sigma,
 }
 
 DiffcheckReport RunDiffcheck(const DiffcheckOptions& options) {
-  const uint32_t threads = std::min<uint64_t>(
-      options.num_threads == 0 ? TaThreadPool::HardwareWorkers()
-                               : options.num_threads,
-      options.iters == 0 ? 1 : options.iters);
-  if (threads <= 1) {
+  const uint32_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  const uint32_t num_ranges = static_cast<uint32_t>(std::min<uint64_t>(
+      options.num_threads == 0 ? hardware : options.num_threads,
+      options.iters == 0 ? 1 : options.iters));
+  if (num_ranges <= 1) {
     Harness harness(options);
     return harness.Run();
   }
 
   // Sharded sweep: contiguous per-worker iteration ranges (iteration i draws
   // from MixSeed(seed, i) alone, so the split has no effect on what any
-  // iteration does), one Harness per worker, a shared failure tally capping
+  // iteration does), one Harness per range, a shared failure tally capping
   // the whole sweep, and a deterministic merge ordered by worker index.
-  std::vector<DiffcheckReport::WorkerRange> ranges(threads);
-  const size_t base = options.iters / threads;
-  const size_t rem = options.iters % threads;
+  std::vector<DiffcheckReport::WorkerRange> ranges(num_ranges);
+  const size_t base = options.iters / num_ranges;
+  const size_t rem = options.iters % num_ranges;
   size_t next_start = options.start;
-  for (uint32_t w = 0; w < threads; ++w) {
+  for (uint32_t w = 0; w < num_ranges; ++w) {
     ranges[w].worker = w;
     ranges[w].start = next_start;
     ranges[w].iters = base + (w < rem ? 1 : 0);
     next_start += ranges[w].iters;
   }
 
+  // The caller and at most hardware - 1 helper threads claim ranges off one
+  // cursor, so a large --threads value splits the work finer without
+  // starting more threads than there are cores.
   std::atomic<size_t> shared_failures{0};
-  std::vector<DiffcheckReport> reports(threads);
-  TaThreadPool::Instance().Run(threads, [&](uint32_t w) {
-    DiffcheckOptions shard = options;
-    shard.start = ranges[w].start;
-    shard.iters = ranges[w].iters;
-    Harness harness(shard, &shared_failures);
-    reports[w] = harness.Run();
-  });
+  std::atomic<uint32_t> cursor{0};
+  std::vector<DiffcheckReport> reports(num_ranges);
+  auto run_ranges = [&] {
+    for (uint32_t w = cursor.fetch_add(1); w < num_ranges;
+         w = cursor.fetch_add(1)) {
+      DiffcheckOptions shard = options;
+      shard.start = ranges[w].start;
+      shard.iters = ranges[w].iters;
+      Harness harness(shard, &shared_failures);
+      reports[w] = harness.Run();
+    }
+  };
+  {
+    // jthreads join on scope exit, on every path.
+    std::vector<std::jthread> helpers;
+    for (uint32_t t = 1; t < std::min(num_ranges, hardware); ++t) {
+      helpers.emplace_back(run_ranges);
+    }
+    run_ranges();
+  }
 
   DiffcheckReport merged;
   merged.worker_ranges = std::move(ranges);

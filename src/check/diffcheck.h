@@ -71,7 +71,8 @@ struct DiffcheckOptions {
   /// that instance (counted in DiffcheckReport::budget_skips).
   size_t max_det_states = 50000;
   /// Sweep workers (docs/PARALLEL.md): 0 = hardware concurrency, 1 = serial.
-  /// Above 1 the iteration range splits into contiguous per-worker shards.
+  /// Above 1 the iteration range splits into this many contiguous shards,
+  /// run on at most hardware_concurrency() threads (the caller included).
   /// Iterations are deterministic in (seed, iteration) alone — ops *inside*
   /// an iteration always run serial — so any failure found by a sharded
   /// sweep replays exactly with --seed=S --start=I --iters=1 --threads=1.

@@ -18,9 +18,8 @@
 // exactly the semantics a "borrow during the request, copy to keep" model
 // wants. Moves stay inside the arena.
 //
-// Not thread-safe: one Arena per worker, by construction (the batch fan-out
-// gives each TaThreadPool worker its own arena and resets it between
-// documents).
+// Not thread-safe: one Arena per thread, by construction (a validation batch
+// runs on its request's thread with one arena, reset between documents).
 
 #ifndef PEBBLETC_COMMON_ARENA_H_
 #define PEBBLETC_COMMON_ARENA_H_

@@ -66,9 +66,11 @@ struct ServeOptions {
   /// Kept declared only because the end-to-end benchmark's replay
   /// (perfbench/src/replay.cc) still reads it.
   TaInclusionPath inclusion = TaInclusionPath::kAntichain;
-  /// Worker threads per kValidateBatch request (1 = serial; the daemon's
-  /// concurrency comes from serving requests in parallel, not from
-  /// intra-request fan-out). Typecheck requests are always serial.
+  /// Has no effect: every request, kValidateBatch included, runs serial on
+  /// its connection's thread (the daemon's concurrency comes from serving
+  /// requests in parallel), and the server does not forward this field. Kept
+  /// declared only because the end-to-end benchmark's replay
+  /// (perfbench/src/replay.cc) still assigns it.
   uint32_t num_threads = 1;
   /// Op-cache mode for request contexts (docs/CACHING.md). kInMemory is the
   /// serving default: repeated requests against the same artifacts hit the

@@ -104,6 +104,7 @@ void SocketServer::Stop() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& conn : connections_) {
+      if (conn->done.load()) continue;
       conn->cancel.store(true);
       ::shutdown(conn->fd, SHUT_RDWR);
     }
@@ -245,6 +246,10 @@ void SocketServer::HandleConnection(std::shared_ptr<Connection> conn) {
     if (conn->cancel.load()) break;  // client gone; response undeliverable
     if (!SendFrame(conn->fd, response)) break;
   }
+  // The watchdog probes and Stop() shuts down conn->fd under mu_; closing it
+  // under mu_ too means neither can touch a closed (or already reused)
+  // descriptor, and both skip the connection once done is set.
+  std::lock_guard<std::mutex> lock(mu_);
   ::close(conn->fd);
   conn->done.store(true);
 }

@@ -1,13 +1,10 @@
 #include "src/serve/validate.h"
 
-#include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "src/common/arena.h"
 #include "src/common/check.h"
 #include "src/serve/registry.h"
-#include "src/ta/thread_pool.h"
 #include "src/tree/encode.h"
 #include "src/xml/xml.h"
 
@@ -132,45 +129,17 @@ BatchResult ValidateBatch(const ValidationPlan& plan,
                           const std::vector<std::string>& documents,
                           TaOpContext* ctx) {
   BatchResult result;
-  result.verdicts.resize(documents.size());
-  const uint32_t workers = static_cast<uint32_t>(std::min<size_t>(
-      TaEffectiveThreads(ctx), std::max<size_t>(documents.size(), 1)));
-  if (workers <= 1) {
-    const size_t fast0 =
-        ctx != nullptr ? ctx->counters.membership_fast_hits : 0;
-    const size_t fall0 =
-        ctx != nullptr ? ctx->counters.membership_fallbacks : 0;
-    Arena arena;
-    for (size_t i = 0; i < documents.size(); ++i) {
-      arena.Reset();
-      result.verdicts[i] = ValidateDoc(plan, documents[i], ctx, &arena);
-    }
-    if (ctx != nullptr) {
-      result.fast_path_docs = ctx->counters.membership_fast_hits - fast0;
-      result.fallback_docs = ctx->counters.membership_fallbacks - fall0;
-    }
-    return result;
+  result.verdicts.reserve(documents.size());
+  const size_t fast0 = ctx != nullptr ? ctx->counters.membership_fast_hits : 0;
+  const size_t fall0 = ctx != nullptr ? ctx->counters.membership_fallbacks : 0;
+  Arena arena;
+  for (const std::string& document : documents) {
+    arena.Reset();
+    result.verdicts.push_back(ValidateDoc(plan, document, ctx, &arena));
   }
-  // Fan-out: one Fork() child and one arena per worker, documents claimed
-  // off a shared cursor, counters merged on join (docs/PARALLEL.md).
-  std::vector<TaOpContext> children;
-  children.reserve(workers);
-  for (uint32_t w = 0; w < workers; ++w) children.push_back(ctx->Fork());
-  std::atomic<size_t> cursor{0};
-  TaThreadPool::Instance().Run(workers, [&](uint32_t w) {
-    TaOpContext& child = children[w];
-    Arena arena;
-    for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-         i < documents.size();
-         i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      arena.Reset();
-      result.verdicts[i] = ValidateDoc(plan, documents[i], &child, &arena);
-    }
-  });
-  for (TaOpContext& child : children) {
-    result.fast_path_docs += child.counters.membership_fast_hits;
-    result.fallback_docs += child.counters.membership_fallbacks;
-    ctx->MergeChild(child);
+  if (ctx != nullptr) {
+    result.fast_path_docs = ctx->counters.membership_fast_hits - fast0;
+    result.fallback_docs = ctx->counters.membership_fallbacks - fall0;
   }
   return result;
 }

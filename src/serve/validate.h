@@ -1,15 +1,15 @@
 // The serving layer's validation fast path (docs/VALIDATION.md): a named
 // artifact compiled once into a ValidationPlan — tag table, Section 2.1
 // encoding, and a compiled MembershipEngine — then applied per document with
-// arena-scoped parsing, or fanned out across a whole batch.
+// arena-scoped parsing, one document or a whole batch at a time.
 //
 // ValidateDoc preserves the wire semantics DoValidate always had (same
 // verdicts, same diagnostics, same error codes for malformed documents); the
 // plan only changes how the answer is computed: streaming DBTA fold when the
 // engine compiled, NbtaAccepts fallback when determinization blew its
-// budget. ValidateBatch runs one plan over N documents, sharding across
-// TaThreadPool workers with merge-on-join contexts — the first workload
-// where one request gives the pool real concurrent work.
+// budget. ValidateBatch runs one plan over N documents serially on the
+// calling thread, reusing one arena: the daemon's concurrency comes from
+// serving requests in parallel, not from fanning one request out.
 
 #ifndef PEBBLETC_SERVE_VALIDATE_H_
 #define PEBBLETC_SERVE_VALIDATE_H_
@@ -80,13 +80,11 @@ struct BatchResult {
   uint64_t fallback_docs = 0;        ///< answered via NbtaAccepts
 };
 
-/// Validates every document against one plan. Fans out across
-/// min(TaEffectiveThreads(ctx), documents.size()) TaThreadPool workers, each
-/// on a Fork() child context with its own arena (merged back on join); a
-/// context carrying a fault injector runs serial with deterministic
-/// checkpoint ordinals. Once the context's sticky interrupt trips (deadline,
-/// disconnect cancellation), every not-yet-validated document reports that
-/// code honestly instead of a fabricated verdict.
+/// Validates every document against one plan, in order, on the calling
+/// thread under `ctx`; one arena hosts each document's allocations and is
+/// reset between documents. Once the context's sticky interrupt trips
+/// (deadline, disconnect cancellation), every not-yet-validated document
+/// reports that code honestly instead of a fabricated verdict.
 BatchResult ValidateBatch(const ValidationPlan& plan,
                           const std::vector<std::string>& documents,
                           TaOpContext* ctx = nullptr);

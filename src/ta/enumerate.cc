@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/ta/nbta_index.h"
 
 namespace pebbletc {
 
@@ -37,6 +38,13 @@ std::vector<BinaryTree> EnumerateAcceptedTrees(const Nbta& a, size_t max_nodes,
   std::vector<BinaryTree> out;
   if (max_nodes == 0 || max_count == 0) return out;
 
+  // Only trees of useful states can be subtrees of an accepted tree, so the
+  // rest are never built. The mask keeps the original numbering, and a
+  // useful state's trees only ever combine trees of useful states, so every
+  // list below, and with it the emission order, is the same as when every
+  // state is enumerated.
+  const std::vector<bool> useful = UsefulStates(NbtaIndex(a));
+
   // per_state[q][s] = distinct trees of size s evaluating to q. Sizes are
   // odd; index by size directly for clarity.
   std::vector<std::vector<std::vector<BinaryTree>>> per_state(
@@ -53,6 +61,7 @@ std::vector<BinaryTree> EnumerateAcceptedTrees(const Nbta& a, size_t max_nodes,
   };
 
   for (const Nbta::LeafRule& r : a.leaf_rules) {
+    if (!useful[r.to]) continue;
     BinaryTree t;
     t.SetRoot(t.AddLeaf(r.symbol));
     add(r.to, 1, std::move(t));
@@ -74,6 +83,7 @@ std::vector<BinaryTree> EnumerateAcceptedTrees(const Nbta& a, size_t max_nodes,
   emit_size(1);
   for (size_t s = 3; s <= max_nodes && out.size() < max_count; s += 2) {
     for (const Nbta::BinaryRule& r : a.rules) {
+      if (!useful[r.to]) continue;
       for (size_t s1 = 1; s1 + 2 <= s; s1 += 2) {
         const size_t s2 = s - 1 - s1;
         for (const BinaryTree& lt : per_state[r.left][s1]) {

@@ -987,8 +987,7 @@ Result<bool> NbtaEquivalent(const Nbta& a, const Nbta& b,
   return NbtaEquivalent(a, b, alphabet, &ctx);
 }
 
-Nbta TrimNbta(const NbtaIndex& idx, TaOpContext* ctx) {
-  TaOpTimer timer(ctx);
+std::vector<bool> UsefulStates(const NbtaIndex& idx, TaOpContext* ctx) {
   const Nbta& a = idx.nbta();
   std::vector<bool> inhabited = InhabitedStates(idx, ctx);
   // Co-reachable: can contribute to an accepted run. Worklist over the
@@ -1019,12 +1018,19 @@ Nbta TrimNbta(const NbtaIndex& idx, TaOpContext* ctx) {
       }
     }
   }
+  return useful;
+}
+
+Nbta TrimNbta(const NbtaIndex& idx, TaOpContext* ctx) {
+  TaOpTimer timer(ctx);
+  const Nbta& a = idx.nbta();
+  const std::vector<bool> useful = UsefulStates(idx, ctx);
 
   std::vector<StateId> remap(a.num_states, kNoSymbol);
   Nbta out;
   out.num_symbols = a.num_symbols;
   for (StateId q = 0; q < a.num_states; ++q) {
-    if (useful[q] && inhabited[q]) {
+    if (useful[q]) {
       remap[q] = out.AddState();
       out.accepting[remap[q]] = a.accepting[q];
     }

@@ -198,6 +198,11 @@ Result<bool> NbtaEquivalent(const Nbta& a, const Nbta& b,
 Result<bool> NbtaEquivalent(const Nbta& a, const Nbta& b,
                             const RankedAlphabet& alphabet, TaOpContext* ctx);
 
+/// The states TrimNbta keeps, as a mask over the original numbering: those
+/// inhabited (reachable bottom-up) and co-reachable (can lead to
+/// acceptance). Interruption drains early with an under-approximation.
+std::vector<bool> UsefulStates(const NbtaIndex& a, TaOpContext* ctx = nullptr);
+
 /// Removes states that are not inhabited (reachable bottom-up) or not
 /// co-reachable (cannot lead to acceptance); shrinks rule lists accordingly.
 Nbta TrimNbta(const NbtaIndex& a, TaOpContext* ctx = nullptr);

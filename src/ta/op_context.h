@@ -24,17 +24,10 @@
 // Threading convention: operations take `TaOpContext*` (nullptr = default
 // budgets, no accounting, no interruption). Budgets of 0 mean "unlimited".
 //
-// Thread-safety contract (the merge-on-join model, docs/PARALLEL.md): a
-// context is owned by exactly one thread at a time — only the cancel flag it
-// points at may be flipped from elsewhere. The kValidateBatch fan-out never
-// shares a context between workers; each worker share runs on its own
-// Fork() child (same deadline/cancel/stride, zeroed counters, no fault
-// injector), workers accumulate counters thread-locally into that child,
-// and the joining thread calls MergeChild() once per worker — on every exit
-// path, including interrupted drains — so the parent's counters and sticky
-// interrupt reflect the whole fan-out. Debug builds assert that Checkpoint()
-// is never invoked from two threads concurrently (see the owner-thread
-// check below).
+// Thread-safety contract: a context is owned by exactly one thread at a
+// time; only the cancel flag it points at may be flipped from elsewhere.
+// Debug builds assert that Checkpoint() is never invoked from two threads
+// concurrently (see the owner-thread check below).
 
 #ifndef PEBBLETC_TA_OP_CONTEXT_H_
 #define PEBBLETC_TA_OP_CONTEXT_H_
@@ -94,13 +87,10 @@ struct TaOpBudgets {
   /// dominate checkpoint cost, the counter bump is nearly free. Cancel and
   /// fault injection are checked every call regardless.
   uint32_t checkpoint_stride = 256;
-  /// Worker count for the parallel execution layer (docs/PARALLEL.md):
-  /// 0 = hardware concurrency (the default), 1 = serial. Only the
-  /// kValidateBatch fan-out (serve::ValidateBatch) reads it; every automaton
-  /// operation, the product construction included, is serial and gives
-  /// bit-identical results at any value. A context carrying a fault injector
-  /// always runs serial regardless (injection ordinals must stay
-  /// deterministic); see TaEffectiveThreads in src/ta/thread_pool.h.
+  /// Has no effect: every automaton operation and every validation batch
+  /// runs serial on the calling thread (docs/PARALLEL.md). Kept declared only
+  /// because the end-to-end benchmark's replay (perfbench/src/replay.cc)
+  /// still assigns it.
   uint32_t num_threads = 0;
   /// Content-addressed memoization of expensive ops through TaAlgebra
   /// (docs/CACHING.md). Off by default; a context carrying a fault injector
@@ -223,52 +213,6 @@ class TaOpContext {
     return Status::OK();
   }
 
-  /// A worker-share child for the merge-on-join model: same budgets
-  /// (deadline, cancel flag, stride, state caps), zeroed counters, no fault
-  /// injector (injection ordinals are only deterministic on the serial
-  /// path), and the parent's sticky interrupt if one already tripped — a
-  /// share forked after cancellation drains immediately. The child is
-  /// independently checkpointable from its worker thread.
-  TaOpContext Fork() const {
-    TaOpContext child(budgets);
-    child.budgets.num_threads = 1;  // shares do not re-fan-out
-    if (interrupted_) (void)child.SetInterrupt(interrupt_);
-    // The fork region runs under the parent's (outermost) TaOpTimer; mark
-    // the child's timer depth so nested timed ops never double-count wall
-    // time into the merged op_nanos.
-    child.timer_depth_ = 1;
-    return child;
-  }
-
-  /// Folds a joined worker share back into this context: counters add, and
-  /// the first child interrupt becomes the parent's sticky interrupt (so a
-  /// deadline or cancellation observed by any worker propagates with its
-  /// original code). Call exactly once per Fork(), after joining the worker.
-  void MergeChild(const TaOpContext& child) {
-    counters.states_materialized += child.counters.states_materialized;
-    counters.rules_scanned += child.counters.rules_scanned;
-    counters.determinizations += child.counters.determinizations;
-    counters.det_pairs_expanded += child.counters.det_pairs_expanded;
-    counters.det_subsets_interned += child.counters.det_subsets_interned;
-    counters.complementations += child.counters.complementations;
-    counters.inclusions += child.counters.inclusions;
-    counters.incl_pairs_interned += child.counters.incl_pairs_interned;
-    counters.incl_pairs_pruned += child.counters.incl_pairs_pruned;
-    counters.intersections += child.counters.intersections;
-    counters.trims += child.counters.trims;
-    counters.minimizations += child.counters.minimizations;
-    counters.indexes_built += child.counters.indexes_built;
-    counters.checkpoints += child.counters.checkpoints;
-    counters.op_nanos += child.counters.op_nanos;
-    counters.memo_hits += child.counters.memo_hits;
-    counters.memo_misses += child.counters.memo_misses;
-    counters.memo_evictions += child.counters.memo_evictions;
-    counters.memo_bytes += child.counters.memo_bytes;
-    counters.membership_fast_hits += child.counters.membership_fast_hits;
-    counters.membership_fallbacks += child.counters.membership_fallbacks;
-    if (!interrupted_ && child.interrupted_) (void)SetInterrupt(child.interrupt_);
-  }
-
   /// The cheap cooperative interruption point. Returns the sticky interrupt
   /// if one already tripped; otherwise checks (in order) the fault injector,
   /// the cancel flag, and — every `checkpoint_stride` calls — the deadline.
@@ -316,13 +260,13 @@ class TaOpContext {
 
   // Debug-only guard for the ownership contract above: Checkpoint() must
   // never run on two threads concurrently. Sequential hand-off between
-  // threads (create on A, run the op on B, merge back on A) is legal, so
+  // threads (create on A, run the op on B, read it back on A) is legal, so
   // the check is entry/exit marking, not a pinned owner thread.
 #ifndef NDEBUG
   void AssertSingleThreaded() {
     PEBBLETC_CHECK(!in_checkpoint_.exchange(true, std::memory_order_acquire))
         << "TaOpContext checkpointed from two threads concurrently; "
-           "parallel workers must run on Fork() children (docs/PARALLEL.md)";
+           "give each thread its own context";
     in_checkpoint_.store(false, std::memory_order_release);
   }
   std::atomic<bool> in_checkpoint_{false};

@@ -26,7 +26,9 @@
 #include "src/core/typechecker.h"
 #include "src/pt/paper_machines.h"
 #include "src/pt/transducer.h"
+#include "src/ta/enumerate.h"
 #include "src/ta/nbta.h"
+#include "src/ta/op_context.h"
 #include "src/ta/random_ta.h"
 
 namespace pebbletc {
@@ -255,25 +257,48 @@ TEST(FaultInjectionTest, DeadlineOnTwoPebbleBlowupReturnsUnknownWithReport) {
   EXPECT_LT(elapsed, std::chrono::seconds(10));
 }
 
+// Accepts the leaf a0 and every tree whose left spine holds at least six a2
+// nodes above a subtree of the universal state u, so every other accepted
+// tree has at least 13 nodes. Every state is useful: enumerating it emits the
+// leaf at once, then must build every u-tree up to 13 nodes (over a million)
+// before it reaches the next accepted size.
+Nbta LeafOrLongLeftSpine(const RankedAlphabet& sigma) {
+  const SymbolId a2 = sigma.Find("a2");
+  Nbta a;
+  a.num_symbols = static_cast<uint32_t>(sigma.size());
+  const StateId leaf = a.AddState();
+  a.AddLeafRule(sigma.Find("a0"), leaf);
+  a.accepting[leaf] = true;
+  const StateId u = a.AddState();
+  a.AddLeafRule(sigma.Find("a0"), u);
+  a.AddLeafRule(sigma.Find("b0"), u);
+  a.AddRule(a2, u, u, u);
+  a.AddRule(sigma.Find("b2"), u, u, u);
+  StateId spine = u;
+  for (int k = 0; k < 6; ++k) {
+    const StateId next = a.AddState();
+    a.AddRule(a2, spine, u, next);
+    spine = next;
+  }
+  a.AddRule(a2, spine, u, spine);
+  a.accepting[spine] = true;
+  return a;
+}
+
 TEST(FaultInjectionTest, DeadlineInsideRefutationEnumerationReturnsUnknown) {
   // Enumerating this τ1's small trees for pass 1 runs long cross products
   // of subtrees; a 100 ms deadline must stop the enumeration inside them,
   // not seconds later, and the run must come back as a clean kUnknown
-  // blamed on the bounded-refutation pass.
+  // blamed on the bounded-refutation pass. τ2 = τ1, so the salvage search
+  // cannot turn the verdict into a counterexample.
   RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
   PebbleTransducer copy = MakeCopyTransducer(sigma);
   Typechecker tc(copy, sigma, sigma);
-  Rng rng(1013);
-  RandomNbtaOptions gen;
-  gen.num_states = 5;
-  gen.rule_density = 0.3;
-  gen.leaf_density = 0.5;
-  Nbta tau1 = RandomNbta(sigma, rng, gen);
-  Nbta tau2 = RandomNbta(sigma, rng, gen);
+  Nbta tau1 = LeafOrLongLeftSpine(sigma);
   TypecheckOptions opts;
   opts.deadline = std::chrono::milliseconds(100);
   const auto start = std::chrono::steady_clock::now();
-  auto r = tc.Typecheck(tau1, tau2, opts);
+  auto r = tc.Typecheck(tau1, tau1, opts);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->verdict, TypecheckVerdict::kUnknown);
@@ -281,6 +306,27 @@ TEST(FaultInjectionTest, DeadlineInsideRefutationEnumerationReturnsUnknown) {
   EXPECT_EQ(r->exhausted.code, StatusCode::kDeadlineExceeded);
   EXPECT_EQ(r->exhausted.pass, "bounded-refutation");
   EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
+TEST(FaultInjectionTest, EnumerationBuildsNoTreesOfUselessStates) {
+  // This random τ1 has five states but only one useful one, and its language
+  // is a single leaf. Enumerating all trees of the useless states up to 15
+  // nodes takes minutes; skipping them finishes well inside the deadline.
+  RankedAlphabet sigma = DiffcheckAlphabet(/*extended=*/false);
+  Rng rng(1013);
+  RandomNbtaOptions gen;
+  gen.num_states = 5;
+  gen.rule_density = 0.3;
+  gen.leaf_density = 0.5;
+  Nbta tau1 = RandomNbta(sigma, rng, gen);
+  TaOpContext ctx;
+  ctx.budgets.deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  std::vector<BinaryTree> trees = EnumerateAcceptedTrees(tau1, 15, 100, &ctx);
+  EXPECT_FALSE(ctx.interrupted()) << ctx.interrupt().ToString();
+  ASSERT_EQ(trees.size(), 1u);
+  EXPECT_EQ(trees[0].size(), 1u);
+  EXPECT_TRUE(tau1.Accepts(trees[0]));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Tests for the parallel execution layer (docs/PARALLEL.md): TaThreadPool
-// share-stealing, TaOpContext fork/merge, bit-identical products and
-// typechecking results at every num_threads, cancellation/deadline drains
-// of the product construction, and sharded diffcheck sweep equivalence.
+// Tests for the parallel execution layer (docs/PARALLEL.md):
+// bit-identical products and typechecking results at every num_threads,
+// cancellation/deadline drains of the product construction, and sharded
+// diffcheck sweep equivalence.
 
 #include <atomic>
 #include <chrono>
@@ -21,90 +21,9 @@
 #include "src/ta/nbta_index.h"
 #include "src/ta/op_context.h"
 #include "src/ta/random_ta.h"
-#include "src/ta/thread_pool.h"
 
 namespace pebbletc {
 namespace {
-
-// ---------------------------------------------------------------- pool -----
-
-TEST(ThreadPoolTest, RunExecutesEveryShareExactlyOnce) {
-  std::vector<std::atomic<int>> hits(8);
-  for (auto& h : hits) h = 0;
-  TaThreadPool::Instance().Run(8, [&](uint32_t w) { hits[w]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, SingleWorkerRunsInline) {
-  std::atomic<int> calls{0};
-  TaThreadPool::Instance().Run(1, [&](uint32_t w) {
-    EXPECT_EQ(w, 0u);
-    calls++;
-  });
-  EXPECT_EQ(calls.load(), 1);
-  TaThreadPool::Instance().Run(0, [&](uint32_t) { calls++; });
-  EXPECT_EQ(calls.load(), 2);
-}
-
-TEST(ThreadPoolTest, NestedRunMakesProgress) {
-  // A share that forks again must never deadlock: the nested caller claims
-  // its own shares when no pool thread is free.
-  std::atomic<int> inner{0};
-  TaThreadPool::Instance().Run(4, [&](uint32_t) {
-    TaThreadPool::Instance().Run(3, [&](uint32_t) { inner++; });
-  });
-  EXPECT_EQ(inner.load(), 12);
-}
-
-TEST(ThreadPoolTest, HardwareWorkersIsPositive) {
-  EXPECT_GE(TaThreadPool::HardwareWorkers(), 1u);
-}
-
-// ---------------------------------------------------- fork / merge ---------
-
-TEST(OpContextForkTest, ForkZeroesCountersAndMergeAdds) {
-  TaOpContext parent;
-  parent.counters.rules_scanned = 100;
-  parent.counters.checkpoints = 7;
-
-  TaOpContext child = parent.Fork();
-  EXPECT_EQ(child.counters.rules_scanned, 0u);
-  EXPECT_EQ(child.budgets.num_threads, 1u) << "shares must not re-fan-out";
-  child.counters.rules_scanned = 25;
-  child.counters.states_materialized = 3;
-  ASSERT_TRUE(child.Checkpoint().ok());
-
-  parent.MergeChild(child);
-  EXPECT_EQ(parent.counters.rules_scanned, 125u);
-  EXPECT_EQ(parent.counters.states_materialized, 3u);
-  EXPECT_EQ(parent.counters.checkpoints, 8u);
-  EXPECT_FALSE(parent.interrupted());
-}
-
-TEST(OpContextForkTest, MergeAdoptsFirstChildInterrupt) {
-  std::atomic<bool> cancel{true};
-  TaOpContext parent;
-
-  TaOpContext child = parent.Fork();
-  child.budgets.cancel = &cancel;
-  EXPECT_EQ(child.Checkpoint().code(), StatusCode::kCancelled);
-
-  parent.MergeChild(child);
-  EXPECT_TRUE(parent.interrupted());
-  EXPECT_EQ(parent.interrupt().code(), StatusCode::kCancelled);
-}
-
-TEST(OpContextForkTest, InterruptedParentForksInterruptedChildren) {
-  std::atomic<bool> cancel{true};
-  TaOpContext parent;
-  parent.budgets.cancel = &cancel;
-  EXPECT_FALSE(parent.Checkpoint().ok());
-
-  TaOpContext child = parent.Fork();
-  EXPECT_TRUE(child.interrupted()) << "a share forked after cancellation "
-                                      "must drain immediately";
-  EXPECT_EQ(child.interrupt().code(), StatusCode::kCancelled);
-}
 
 // ------------------------------------------ thread-count invariance -------
 

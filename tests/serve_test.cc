@@ -10,6 +10,8 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <variant>
+#include <vector>
 
 #include "src/alphabet/alphabet.h"
 #include "src/common/status.h"
@@ -768,6 +770,122 @@ TEST(ServeBatchTest, BatchHoldsExactlyOneAdmissionSlot) {
   EXPECT_EQ(server.SnapshotStats().overload_rejected, 1u)
       << "one shed, not one per document";
   held->Release();
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent requests on one server.
+// ---------------------------------------------------------------------------
+
+// The part of a response that must not depend on load or on what ran
+// before: status and verdict fields, without request ids, op counters or
+// cache traffic.
+std::string VerdictOf(const Response& r) {
+  std::string out = std::to_string(static_cast<int>(r.header.status)) + ":";
+  if (const auto* v = std::get_if<ValidateResponse>(&r.body)) {
+    out += (v->valid ? "valid " : "invalid ") + v->diagnostic;
+  } else if (const auto* b = std::get_if<ValidateBatchResponse>(&r.body)) {
+    for (const BatchDocVerdict& d : b->verdicts) {
+      out += std::to_string(d.status) + (d.valid ? "+" : "-") + d.diagnostic +
+             ";";
+    }
+    out += std::to_string(b->fast_path_docs) + "/" +
+           std::to_string(b->fallback_docs);
+  } else if (const auto* t = std::get_if<TypecheckResponse>(&r.body)) {
+    out += std::to_string(t->verdict) + " " + t->method + " " +
+           t->counterexample_input_xml + " " + t->counterexample_output_xml;
+  } else if (const auto* l = std::get_if<LoadArtifactResponse>(&r.body)) {
+    out += std::to_string(l->kind);
+  }
+  return out;
+}
+
+// Four client threads share one ServerCore through HandleFrame, as the
+// socket transport's connection threads do: validates, batches, good and
+// bad typechecks, stats, and a periodic hot reload of the DTD they all
+// read. Every verdict must equal that request's verdict on an idle server,
+// and the stats must account for every request sent.
+TEST(ServeConcurrencyTest, ConcurrentClientsGetIdleServerVerdicts) {
+  SpecializedDtd dtd = std::move(ParseSpecializedDtd(kInDtd)).ValueOrDie();
+  std::string payload;
+  SerializeDtdArtifact(dtd, &payload);
+  std::string wrapped;
+  WrapTaArtifact(TaArtifactKind::kDtd, payload, &wrapped);
+  Request reload;
+  reload.header.opcode = Opcode::kLoadArtifact;
+  reload.body = LoadArtifactRequest{"in", wrapped};
+  Request stats;
+  stats.header.opcode = Opcode::kStats;
+
+  const std::vector<Request> mix = {
+      MakeValidate(1, "in", "<a><c/></a>"),
+      MakeValidate(2, "in", "<a/>"),
+      MakeBatch(3, "in", {"<a><c/></a>", "<a/>", "<a><z/></a>"}),
+      MakeTypecheck(4, "rename", "in", "good_out"),
+      MakeTypecheck(5, "rename", "in", "bad_out"),
+      stats,
+      reload,
+  };
+  std::vector<std::string> frames(mix.size());
+  std::vector<std::string> expected(mix.size());
+  {
+    ServerCore idle(TestOptions());
+    LoadExampleRegistry(&idle);
+    for (size_t k = 0; k < mix.size(); ++k) {
+      EncodeRequest(mix[k], &frames[k]);
+      Result<Response> r = DecodeResponse(idle.HandleFrame(frames[k]));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r->header.status, WireStatus::kOk) << r->header.detail;
+      expected[k] = VerdictOf(*r);
+    }
+  }
+
+  ServerCore server(TestOptions());
+  LoadExampleRegistry(&server);
+  constexpr int kThreads = 4;
+  constexpr int kRequestsPerThread = 210;
+  const size_t kStats = 5;
+  const size_t kReload = 6;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kThreads; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < kRequestsPerThread; ++i) {
+        // Every thread reloads the DTD once per 30 requests, at staggered
+        // points, so reloads land between everyone else's reads.
+        const size_t k = (i + 7 * c) % 30 == 0 ? kReload : (i + c) % kReload;
+        Result<Response> r = DecodeResponse(server.HandleFrame(frames[k]));
+        bool ok = r.ok() && r->header.status == WireStatus::kOk;
+        if (ok && k == kStats) {
+          const auto& s = std::get<StatsResponse>(r->body);
+          ok = s.requests_total <= kThreads * kRequestsPerThread &&
+               s.in_flight <= server.options().max_in_flight;
+        } else if (ok) {
+          ok = VerdictOf(*r) == expected[k];
+        }
+        if (!ok) {
+          ADD_FAILURE() << "client " << c << ", request " << i << " (kind "
+                        << k << "): "
+                        << (r.ok() ? VerdictOf(*r) + " " + r->header.detail
+                                   : r.status().ToString())
+                        << " vs idle " << expected[k];
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  const StatsResponse s = server.SnapshotStats();
+  const uint64_t sent = kThreads * kRequestsPerThread;
+  EXPECT_EQ(s.requests_total, sent);
+  EXPECT_EQ(s.responses_ok, sent);
+  EXPECT_EQ(s.malformed_rejected, 0u);
+  EXPECT_EQ(s.validation_rejected, 0u);
+  EXPECT_EQ(s.overload_rejected, 0u);
+  EXPECT_EQ(s.degraded_verdicts, 0u);
+  EXPECT_EQ(s.hard_errors, 0u);
+  EXPECT_EQ(s.in_flight, 0u);
 }
 
 // ---------------------------------------------------------------------------

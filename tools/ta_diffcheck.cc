@@ -39,9 +39,10 @@ void PrintUsage() {
                "  --demorgan_every=N  heavy complement-of-product cadence, "
                "0=off (default 4)\n"
                "  --max_det_states=N  determinization budget (default 50000)\n"
-               "  --threads=N         sweep workers; 0=hardware concurrency "
-               "(default 1). Iterations stay deterministic in (seed, "
-               "iteration), so failures replay with --threads=1\n"
+               "  --threads=N         sweep shards, run on at most one thread "
+               "per core; 0=one per core (default 1). Iterations stay "
+               "deterministic in (seed, iteration), so failures replay with "
+               "--threads=1\n"
                "  --memo              run the cached-vs-cold laws for the "
                "content-addressed op cache (docs/CACHING.md)\n"
                "  --memo_dir=PATH     persistent cache directory for the memo "
