@@ -34,16 +34,19 @@ struct Family {
         any_in += "|";
         any_out += "|";
       }
-      any_in += "a" + std::to_string(i);
-      any_out += "b" + std::to_string(i);
+      any_in += 'a';
+      any_in += std::to_string(i);
+      any_out += 'b';
+      any_out += std::to_string(i);
     }
     for (int i = 0; i < width; ++i) {
-      program_text += "template a" + std::to_string(i) + " { b" +
-                      std::to_string(i) + " { apply } }\n";
-      in_dtd_text +=
-          "a" + std::to_string(i) + " := (" + any_in + ")*\n";
-      out_dtd_text +=
-          "b" + std::to_string(i) + " := (" + any_out + ")*\n";
+      const std::string n = std::to_string(i);
+      program_text += "template a";
+      program_text += n + " { b" + n + " { apply } }\n";
+      in_dtd_text += 'a';
+      in_dtd_text += n + " := (" + any_in + ")*\n";
+      out_dtd_text += 'b';
+      out_dtd_text += n + " := (" + any_out + ")*\n";
     }
     auto program =
         std::move(ParseXslt(program_text, &in_tags, &out_tags)).ValueOrDie();

@@ -15,7 +15,8 @@
 // Batch series: kValidateBatch through a warm ServerCore (plan compiled on
 // the first request, cached after) at batch sizes {1, 8, 64, 256};
 // per_doc_ns shows the per-document amortization of frame, admission, and
-// plan-lookup overhead.
+// plan-lookup overhead. BM_ServeValidateFull is one ~100 KiB kValidate
+// through HandleFrame at the default kFull tier, in wall time.
 //
 // CI runs this binary with --benchmark_min_time=0.05s in the bench-smoke
 // job and uploads the JSON as the BENCH_validate.json artifact; the
@@ -25,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -251,6 +253,39 @@ void BM_ServeBatchWarm(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ServeBatchWarm)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
+
+// One kValidate of a ~100 KiB p/q/r document through HandleFrame at the
+// daemon's default kFull tier, plan warm: the whole request path for one
+// large document, including the tier's well-formedness decision. Wall time.
+void BM_ServeValidateFull(benchmark::State& state) {
+  const DocFixture f = MakeDocFixture(20500);
+  serve::ServeOptions options;
+  options.validity.level = serve::ValidityLevel::kFull;
+  serve::ServerCore server(options);
+  serve::RegistryEntry entry;
+  entry.kind = serve::RegistryEntry::Kind::kSchema;
+  entry.schema = std::make_shared<const SchemaArtifact>(
+      SchemaArtifact{f.enc.ranked, f.schema});
+  server.registry().Put("s", std::move(entry));
+  serve::Request request;
+  request.header.opcode = serve::Opcode::kValidate;
+  request.header.request_id = 1;
+  request.body = serve::ValidateRequest{"s", f.xml};
+  std::string payload;
+  serve::EncodeRequest(request, &payload);
+  {
+    Result<serve::Response> r =
+        serve::DecodeResponse(server.HandleFrame(payload));
+    PEBBLETC_CHECK(r.ok() && r->header.status == serve::WireStatus::kOk)
+        << (r.ok() ? r->header.detail : r.status().ToString());
+  }
+  for (auto _ : state) {
+    std::string encoded = server.HandleFrame(payload);
+    benchmark::DoNotOptimize(encoded);
+  }
+  state.counters["doc_bytes"] = static_cast<double>(f.xml.size());
+}
+BENCHMARK(BM_ServeValidateFull)->UseRealTime()->Repetitions(5);
 
 }  // namespace
 }  // namespace pebbletc

@@ -26,6 +26,7 @@
 #include "src/ta/inclusion.h"
 #include "src/ta/nbta.h"
 #include "src/ta/nbta_index.h"
+#include "src/serve/server.h"
 #include "src/serve/validate.h"
 #include "src/ta/membership.h"
 #include "src/ta/op_cache.h"
@@ -325,6 +326,8 @@ class Harness {
   void CheckMembership(size_t iter, bool extended, const Nbta& a,
                        const std::vector<BinaryTree>& exhaustive,
                        const std::vector<BinaryTree>& samples, Rng& rng);
+  void CheckServeFullTier(size_t iter, const Nbta& m);
+  std::string MutatedDocument(Rng& rng);
   void CheckRelabelInverse(size_t iter, const Nbta& a);
   void CheckRelabelImage(size_t iter, const Nbta& a);
   void CheckCounts(size_t iter, bool extended, const Nbta& a,
@@ -1124,7 +1127,10 @@ void Harness::CheckMembership(size_t iter, bool extended, const Nbta& a,
 
   // The XML-facing laws run over the p/q/r document alphabet: a fresh
   // random automaton over the *encoded* alphabet plays the schema.
-  if (LawDone("membership/streaming") && LawDone("membership/batch")) return;
+  if (LawDone("membership/streaming") && LawDone("membership/batch") &&
+      LawDone("serve/full-tier")) {
+    return;
+  }
   const Nbta m = DrawAutomaton(enc_.ranked, rng);
   TaOpContext mctx = BudgetCtx(opts_);
   Result<MembershipEngine> meng =
@@ -1252,6 +1258,162 @@ void Harness::CheckMembership(size_t iter, bool extended, const Nbta& a,
            "batch agrees with per-document validation: " + mismatch,
            os.str());
     }
+  }
+  CheckServeFullTier(iter, m);
+}
+
+// A random p/q/r document, then (most of the time) one mutation: truncation
+// at a random offset, a flipped bit, a close tag renamed to another tag,
+// inserted text, or an element outside the alphabet. Never empty.
+std::string Harness::MutatedDocument(Rng& rng) {
+  RandomUnrankedOptions uo;
+  uo.target_size = 1 + rng.NextBelow(12);
+  uo.max_children = 4;
+  std::string xml = XmlString(RandomUnrankedTree(tags_, rng, uo), tags_);
+  const size_t at = rng.NextBelow(xml.size());
+  switch (rng.NextBelow(6)) {
+    case 0:
+      break;  // unmutated
+    case 1:
+      xml.resize(1 + at);
+      break;
+    case 2:
+      xml[at] = static_cast<char>(xml[at] ^ (1u << rng.NextBelow(8)));
+      break;
+    case 3: {
+      const size_t close = xml.rfind("</", at);
+      if (close != std::string::npos) {
+        xml[close + 2] = "pqr"[rng.NextBelow(3)];
+      }
+      break;
+    }
+    case 4:
+      xml.insert(at, "text");
+      break;
+    case 5: {
+      const size_t gt = xml.find('>', at);
+      xml.insert(gt == std::string::npos ? xml.size() : gt + 1, "<zz/>");
+      break;
+    }
+  }
+  return xml;
+}
+
+// Law "serve/full-tier": at kFull, dispatch's single parse decides
+// well-formedness, yet every response is byte-identical to a tier that
+// pre-parses. The reference runs the kBasic checks, then ParseXml of every
+// document over a scratch alphabet (the first failure answers
+// kValidationFailed, "document is not well-formed: ..." or "batch document
+// i is not well-formed: ..."), and otherwise takes the kBasic server's own
+// answer. One server pair in four forces the fallback route
+// (max_det_states = 1) so ParseXmlKnown is covered too.
+void Harness::CheckServeFullTier(size_t iter, const Nbta& m) {
+  if (LawDone("serve/full-tier")) return;
+  // Its own stream, so the draws of the laws after it stay where they were.
+  Rng rng(MixSeed(opts_.seed ^ 0x5e7ef0119ull, iter));
+  serve::ServeOptions options;
+  options.memo = TaMemoMode::kOff;
+  if (rng.NextBool(0.25)) options.max_det_states = 1;
+  options.validity.level = serve::ValidityLevel::kFull;
+  serve::ServerCore full(options);
+  options.validity.level = serve::ValidityLevel::kBasic;
+  serve::ServerCore basic(options);
+  serve::RegistryEntry entry;
+  entry.kind = serve::RegistryEntry::Kind::kSchema;
+  entry.schema = std::make_shared<const SchemaArtifact>(
+      SchemaArtifact{enc_.ranked, m});
+  full.registry().Put("s", entry);
+  basic.registry().Put("s", std::move(entry));
+
+  uint64_t preparse_rejections = 0;
+  for (uint32_t r = 0; r < 4; ++r) {
+    serve::Request request;
+    request.header.request_id = r;
+    std::vector<std::string> docs;
+    const size_t n = rng.NextBool(0.5) ? 2 + rng.NextBelow(7) : 0;
+    for (size_t k = 0; k < std::max<size_t>(n, 1); ++k) {
+      docs.push_back(MutatedDocument(rng));
+    }
+    if (n == 0) {
+      request.header.opcode = serve::Opcode::kValidate;
+      request.body = serve::ValidateRequest{"s", docs[0]};
+    } else {
+      request.header.opcode = serve::Opcode::kValidateBatch;
+      request.body = serve::ValidateBatchRequest{"s", docs};
+    }
+    std::string frame;
+    serve::EncodeRequest(request, &frame);
+    const std::string got = full.HandleFrame(frame);
+
+    std::string want;
+    std::string rejection;
+    if (serve::CheckRequest(request, options.validity).ok()) {
+      for (size_t k = 0; rejection.empty() && k < docs.size(); ++k) {
+        Alphabet scratch;
+        Result<UnrankedTree> doc = ParseXml(docs[k], &scratch);
+        if (doc.ok()) continue;
+        rejection = Status::InvalidArgument(
+                        (n == 0 ? std::string("document")
+                                : "batch document " + std::to_string(k)) +
+                        " is not well-formed: " + doc.status().ToString())
+                        .ToString();
+      }
+    }
+    if (!rejection.empty()) {
+      ++preparse_rejections;
+      serve::EncodeResponse(
+          serve::MakeErrorResponse(request.header.opcode, r,
+                                   serve::WireStatus::kValidationFailed,
+                                   rejection),
+          &want);
+    } else {
+      want = basic.HandleFrame(frame);
+    }
+    ++report_.comparisons;
+    if (got == want) continue;
+    auto describe = [](const std::string& bytes) {
+      Result<serve::Response> resp = serve::DecodeResponse(bytes);
+      if (!resp.ok()) return "undecodable: " + resp.status().ToString();
+      return "status " +
+             std::to_string(static_cast<int>(resp->header.status)) + " \"" +
+             resp->header.detail + "\"";
+    };
+    std::ostringstream os;
+    os << "// law \"serve/full-tier\" violated at iteration " << iter
+       << " (seed " << opts_.seed << ").\n"
+       << "// replay: ta_diffcheck --seed=" << opts_.seed
+       << " --start=" << iter << " --iters=1\n"
+       << "// max_det_states: " << options.max_det_states << "\n";
+    for (size_t k = 0; k < docs.size(); ++k) {
+      os << "// doc[" << k << "]: ";
+      for (unsigned char c : docs[k]) {
+        if (c >= 0x20 && c < 0x7f) {
+          os << c;
+        } else {
+          const char* hex = "0123456789abcdef";
+          os << "\\x" << hex[c >> 4] << hex[c & 15];
+        }
+      }
+      os << "\n";
+    }
+    os << FormatNbtaConstruction(m, enc_.ranked, "m")
+       << "// expect: kFull HandleFrame == pre-parse reference\n";
+    Fail("serve/full-tier", iter,
+         "kFull response " + describe(got) + " differs from the reference " +
+             describe(want),
+         os.str());
+    return;
+  }
+  const uint64_t got_rejected = full.SnapshotStats().validation_rejected;
+  const uint64_t want_rejected =
+      basic.SnapshotStats().validation_rejected + preparse_rejections;
+  if (got_rejected != want_rejected) {
+    Fail("serve/full-tier", iter,
+         "kFull counted " + std::to_string(got_rejected) +
+             " validation rejections, the reference " +
+             std::to_string(want_rejected),
+         "// replay: ta_diffcheck --seed=" + std::to_string(opts_.seed) +
+             " --start=" + std::to_string(iter) + " --iters=1\n");
   }
 }
 

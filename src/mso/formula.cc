@@ -173,7 +173,9 @@ namespace {
 void Print(const MsoPtr& f, const RankedAlphabet* alphabet, std::string* out) {
   using K = MsoFormula::Kind;
   auto var = [](MsoVarId v, bool set) {
-    return (set ? "S" : "x") + std::to_string(v);
+    std::string name(set ? "S" : "x");
+    name += std::to_string(v);
+    return name;
   };
   switch (f->kind()) {
     case K::kTrue:
@@ -186,7 +188,9 @@ void Print(const MsoPtr& f, const RankedAlphabet* alphabet, std::string* out) {
       *out += "Label_";
       *out += alphabet != nullptr ? alphabet->Name(f->symbol())
                                   : std::to_string(f->symbol());
-      *out += "(" + var(f->var1(), false) + ")";
+      *out += '(';
+      *out += var(f->var1(), false);
+      *out += ')';
       return;
     case K::kSucc1:
     case K::kSucc2:

@@ -45,7 +45,12 @@ std::string MoveName(PebbleTransducer::MoveKind m) {
 }
 
 std::string StateName(StateId q, uint32_t level) {
-  return "q" + std::to_string(q) + "^(" + std::to_string(level) + ")";
+  std::string name = "q";
+  name += std::to_string(q);
+  name += "^(";
+  name += std::to_string(level);
+  name += ')';
+  return name;
 }
 
 }  // namespace
@@ -64,8 +69,11 @@ std::string TransducerString(const PebbleTransducer& t,
            StateName(tr.from, lvl) + ") -> ";
     switch (tr.kind) {
       case TK::kMove:
-        out += "(" + StateName(tr.to, t.level(tr.to)) + ", " +
-               MoveName(tr.move) + ")";
+        out += '(';
+        out += StateName(tr.to, t.level(tr.to));
+        out += ", ";
+        out += MoveName(tr.move);
+        out += ')';
         break;
       case TK::kOutputLeaf:
         out += "(" + output.Name(tr.output_symbol) + ", output0)";
@@ -94,8 +102,11 @@ std::string PebbleAutomatonString(const PebbleAutomaton& a,
            StateName(tr.from, lvl) + ") -> ";
     switch (tr.kind) {
       case TK::kMove:
-        out += "(" + StateName(tr.to, a.level(tr.to)) + ", " +
-               MoveName(tr.move) + ")";
+        out += '(';
+        out += StateName(tr.to, a.level(tr.to));
+        out += ", ";
+        out += MoveName(tr.move);
+        out += ')';
         break;
       case TK::kAccept:
         out += "(branch0)";

@@ -277,6 +277,20 @@ Response PlanErrorResponse(const RequestHeader& header, const Status& status) {
   return StatusResponse(header, status);
 }
 
+/// The kFull tier's answer for a document dispatch found malformed: the
+/// status and detail the tier gave back when it pre-parsed documents itself.
+/// `what` names the document ("document", "batch document 3").
+Response NotWellFormedResponse(const RequestHeader& header,
+                               const std::string& what, const DocVerdict& v) {
+  const std::string_view parse_status =
+      std::string_view(v.diagnostic).substr(kMalformedPrefix.size());
+  return MakeErrorResponse(
+      header.opcode, header.request_id, WireStatus::kValidationFailed,
+      Status::InvalidArgument(what + " is not well-formed: " +
+                              std::string(parse_status))
+          .ToString());
+}
+
 }  // namespace
 
 Result<std::shared_ptr<const ValidationPlan>> ServerCore::PlanFor(
@@ -329,6 +343,10 @@ Response ServerCore::DoValidate(const RequestHeader& header,
   Arena arena;
   DocVerdict verdict = ValidateDoc(**plan, req.document, &ctx, &arena);
   if (injector != nullptr && injector->tripped) faults_injected_.fetch_add(1);
+  if (verdict.malformed && options_.validity.level == ValidityLevel::kFull) {
+    validation_rejected_.fetch_add(1);
+    return NotWellFormedResponse(header, "document", verdict);
+  }
   if (verdict.code != StatusCode::kOk) {
     return StatusResponse(header, Status(verdict.code, verdict.diagnostic));
   }
@@ -351,9 +369,20 @@ Response ServerCore::DoValidateBatch(const RequestHeader& header,
   }
   BatchResult batch = ValidateBatch(**plan, req.documents, &ctx);
   if (injector != nullptr && injector->tripped) faults_injected_.fetch_add(1);
-  // The batch response is kOk even when individual documents failed: each
-  // verdict carries its own honest wire status (deadline, cancellation,
-  // malformed XML), and the client decides per document.
+  if (options_.validity.level == ValidityLevel::kFull) {
+    // kFull rejects the whole batch for its first malformed document; the
+    // other documents' verdicts are dropped.
+    for (size_t i = 0; i < batch.verdicts.size(); ++i) {
+      if (!batch.verdicts[i].malformed) continue;
+      validation_rejected_.fetch_add(1);
+      return NotWellFormedResponse(
+          header, "batch document " + std::to_string(i), batch.verdicts[i]);
+    }
+  }
+  // Otherwise the batch response is kOk even when individual documents
+  // failed: each verdict carries its own honest wire status (deadline,
+  // cancellation, malformed XML below kFull), and the client decides per
+  // document.
   ValidateBatchResponse body;
   body.fast_path_docs = batch.fast_path_docs;
   body.fallback_docs = batch.fallback_docs;

@@ -14,10 +14,12 @@ namespace {
 DocVerdict ErrorVerdict(const Status& status) {
   DocVerdict v;
   if (status.code() == StatusCode::kParseError) {
-    // The wire contract DoValidate always had: a malformed document is an
-    // invalid-argument response whose detail leads with "document: ".
+    // Below the kFull tier a malformed document is an invalid-argument
+    // response whose detail leads with "document: "; at kFull, ServerCore
+    // turns `malformed` into the tier's kValidationFailed rejection.
     v.code = StatusCode::kInvalidArgument;
-    v.diagnostic = "document: " + status.ToString();
+    v.malformed = true;
+    v.diagnostic = std::string(kMalformedPrefix) + status.ToString();
   } else {
     v.code = status.code();
     v.diagnostic = status.message();
@@ -109,7 +111,9 @@ DocVerdict ValidateDoc(const ValidationPlan& plan, std::string_view document,
     return v;
   }
   // Fallback route: materialize, encode, NbtaAccepts — correct under any
-  // budget, just slower; counted via membership_fallbacks.
+  // budget, just slower; counted via membership_fallbacks. The parse has no
+  // checkpoints of its own, so take one first, as the streaming fold does.
+  if (Status s = TaCheckpoint(ctx); !s.ok()) return ErrorVerdict(s);
   Result<KnownXmlParse> parsed = ParseXmlKnown(document, plan.tags, mem);
   if (!parsed.ok()) return ErrorVerdict(parsed.status());
   if (!parsed->unknown_tag.empty()) {

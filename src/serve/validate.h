@@ -55,21 +55,29 @@ Result<ValidationPlan> CompileSchemaPlan(const SchemaArtifact& schema,
                                          TaOpContext* ctx = nullptr,
                                          TaOpCache* cache = nullptr);
 
+/// Prefix of a malformed document's diagnostic; the parse status follows it.
+inline constexpr std::string_view kMalformedPrefix = "document: ";
+
 /// Per-document outcome. `code` is kOk whenever validation itself completed
 /// (even with valid == false); a non-kOk code means this document's request
-/// failed — malformed XML (kInvalidArgument, diagnostic prefixed
-/// "document: "), deadline, cancellation, injected fault — and `diagnostic`
-/// carries the Status message.
+/// failed — malformed XML (kInvalidArgument, `malformed` set, diagnostic
+/// kMalformedPrefix + the parse status), deadline, cancellation, injected
+/// fault — and `diagnostic` carries the Status message.
 struct DocVerdict {
   StatusCode code = StatusCode::kOk;
   bool valid = false;
+  /// The document is not well-formed XML. The kFull tier turns this into a
+  /// request-level kValidationFailed (docs/SERVING.md).
+  bool malformed = false;
   std::string diagnostic;
 };
 
 /// Validates one document against a compiled plan. `mem` (null = default
 /// heap) hosts every per-document allocation — tree, encoding, state
 /// stacks — so a request loop can pass an Arena and Reset() between calls.
-/// Checkpoints under `ctx`, so deadline/cancel/fault surface per document.
+/// Checkpoints under `ctx` before the parse and during it (streaming route),
+/// so deadline/cancel/fault surface per document, and a document after a
+/// tripped interrupt is not parsed at all.
 DocVerdict ValidateDoc(const ValidationPlan& plan, std::string_view document,
                        TaOpContext* ctx = nullptr,
                        std::pmr::memory_resource* mem = nullptr);

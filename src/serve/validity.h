@@ -15,13 +15,17 @@
 //            and drawn from a conservative charset; documents and artifact
 //            payloads respect size caps; requested deadlines respect the
 //            server maximum. O(field length), no parsing.
-//   kFull  — structural checks: artifact containers are unwrapped and their
-//            payloads completely deserialized (every range/rank/arity
-//            invariant enforced by src/ta/serialize.cc), and XML documents
-//            are pre-parsed for well-formedness against a throwaway
-//            alphabet. After kFull, dispatch can assume every byte of the
-//            request is structurally sound; what remains is semantic
-//            (name resolution, kind compatibility, budgets).
+//   kFull  — structural checks on artifacts: containers are unwrapped and
+//            their payloads completely deserialized (every range/rank/arity
+//            invariant enforced by src/ta/serialize.cc). XML documents are
+//            *not* parsed here: dispatch's single parse (the streaming
+//            validator, or ParseXmlKnown on the fallback route) decides
+//            well-formedness, and at kFull a malformed document is answered
+//            with this tier's kValidationFailed status and
+//            "document is not well-formed: ..." detail. After kFull, dispatch
+//            can assume every artifact byte is structurally sound; what
+//            remains is semantic (name resolution, kind compatibility,
+//            budgets) plus the one document parse.
 
 #ifndef PEBBLETC_SERVE_VALIDITY_H_
 #define PEBBLETC_SERVE_VALIDITY_H_
@@ -57,8 +61,9 @@ struct ValidityOptions {
 
 /// Validates a decoded request at the configured tier. OK means "safe to
 /// dispatch at this tier's guarantees"; any violation returns
-/// kInvalidArgument (shape/size/charset) or kParseError (structural, kFull
-/// only) with a message naming the offending field.
+/// kInvalidArgument (shape/size/charset) or kParseError (artifact structure,
+/// kFull only) with a message naming the offending field. Document
+/// well-formedness is not checked here (see the kFull note above).
 Status CheckRequest(const Request& request, const ValidityOptions& options);
 
 }  // namespace pebbletc::serve

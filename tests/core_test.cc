@@ -10,9 +10,12 @@
 #include "src/common/rng.h"
 #include "src/core/downward.h"
 #include "src/core/typechecker.h"
+#include "src/dtd/dtd.h"
 #include "src/pt/eval.h"
 #include "src/pt/paper_machines.h"
+#include "src/query/xslt.h"
 #include "src/ta/nbta.h"
+#include "src/tree/encode.h"
 #include "src/tree/random_tree.h"
 #include "src/tree/term.h"
 
@@ -497,6 +500,48 @@ TEST(TypecheckTest, VerdictLadderTable) {
           << r.notes;
     }
   }
+}
+
+// Example 4.3's Q2 against its good output type. Q2 re-walks the child list
+// (up-moves), its behavior product is over the state cap, and the MSO route
+// would need more than 20 tracks. Both caps are resource limits, so the
+// ladder answers an honest kUnknown with an exhaustion report, not an error.
+// This decides nothing; it only reports the limit as a limit.
+TEST(TypecheckerTest, Example43Q2GoodIsUnknownNotAnError) {
+  Alphabet in, out;
+  XsltProgram program =
+      std::move(ParseXslt("template root { result { b; apply; b; apply; b; "
+                          "apply } }\ntemplate a { a }\n",
+                          &in, &out))
+          .ValueOrDie();
+  SpecializedDtd in_dtd =
+      std::move(ParseSpecializedDtd("root := a*\na := ()\n")).ValueOrDie();
+  SpecializedDtd out_dtd =
+      std::move(ParseSpecializedDtd(
+                    "result := b.a*.b.a*.b.a*\nb := ()\na := ()\n"))
+          .ValueOrDie();
+  for (SymbolId t = 0; t < in_dtd.tags().size(); ++t) {
+    in.Intern(in_dtd.tags().Name(t));
+  }
+  for (SymbolId t = 0; t < out_dtd.tags().size(); ++t) {
+    out.Intern(out_dtd.tags().Name(t));
+  }
+  EncodedAlphabet in_enc = std::move(MakeEncodedAlphabet(in)).ValueOrDie();
+  EncodedAlphabet out_enc = std::move(MakeEncodedAlphabet(out)).ValueOrDie();
+  PebbleTransducer t =
+      std::move(CompileXslt(program, in_enc, out_enc)).ValueOrDie();
+  Nbta tau1 = std::move(CompileDtdOver(in_dtd, in_enc)).ValueOrDie();
+  Nbta tau2 = std::move(CompileDtdOver(out_dtd, out_enc)).ValueOrDie();
+
+  Typechecker checker(t, in_enc.ranked, out_enc.ranked);
+  Result<TypecheckResult> r = checker.Typecheck(tau1, tau2);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->verdict, TypecheckVerdict::kUnknown);
+  EXPECT_TRUE(r->exhausted.exhausted);
+  EXPECT_EQ(r->exhausted.code, StatusCode::kResourceExhausted);
+  EXPECT_FALSE(r->exhausted.pass.empty());
+  EXPECT_NE(r->exhausted.detail.find("too many MSO tracks"), std::string::npos)
+      << r->exhausted.detail;
 }
 
 }  // namespace

@@ -252,7 +252,9 @@ TEST(DiffcheckRegressionTest, CountAcceptedTreesExactSaturationBoundary) {
   std::vector<SymbolId> leaves;
   leaves.reserve(kHalf + 1);
   for (uint32_t i = 0; i <= kHalf; ++i) {
-    leaves.push_back(*sigma.AddLeaf("l" + std::to_string(i)));
+    std::string name = "l";
+    name += std::to_string(i);
+    leaves.push_back(*sigma.AddLeaf(name));
   }
   SymbolId f = *sigma.AddBinary("f");
 

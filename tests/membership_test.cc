@@ -239,6 +239,7 @@ TEST(ValidateDoc, MalformedDocumentIsParseErrorVerdict) {
   serve::DocVerdict v = serve::ValidateDoc(plan, "not xml");
   EXPECT_EQ(v.code, StatusCode::kInvalidArgument);
   EXPECT_FALSE(v.valid);
+  EXPECT_TRUE(v.malformed);
   EXPECT_EQ(v.diagnostic.rfind("document: ", 0), 0u)
       << "diagnostic: " << v.diagnostic;
 }
@@ -249,6 +250,7 @@ TEST(ValidateDoc, UnknownTagDiagnosticNamesTheTag) {
   serve::DocVerdict v = serve::ValidateDoc(plan, "<p><zz/></p>");
   EXPECT_EQ(v.code, StatusCode::kOk) << "invalid, not an error";
   EXPECT_FALSE(v.valid);
+  EXPECT_FALSE(v.malformed) << "well-formed, just outside the alphabet";
   EXPECT_NE(v.diagnostic.find("'zz'"), std::string::npos)
       << "diagnostic: " << v.diagnostic;
 }

@@ -58,6 +58,18 @@ TEST(TrackAlphabetTest, DropTrackMap) {
   EXPECT_EQ(drop1[src2], 1u * 4 + 0b00);
 }
 
+// The track cap is a size limit, not a malformed input: it reports
+// kResourceExhausted, like the extended-alphabet cap below it, so callers
+// degrade instead of failing hard.
+TEST(TrackAlphabetTest, TrackCapIsResourceExhaustion) {
+  RankedAlphabet base = TinyRanked();
+  Result<TrackAlphabet> over = TrackAlphabet::Make(base, 21);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(over.status().message().find("too many MSO tracks"),
+            std::string::npos);
+}
+
 TEST(MsoAnalysisTest, DetectsKindConflicts) {
   // x used both as position (Label) and set (In's second arg).
   MsoPtr bad = F::And(F::Label(0, /*x=*/1), F::In(/*x=*/2, /*set=*/1));

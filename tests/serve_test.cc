@@ -442,9 +442,149 @@ TEST(ServeValidityTest, TiersAreCumulative) {
   EXPECT_FALSE(CheckRequest(huge_deadline, basic).ok());
   EXPECT_TRUE(CheckRequest(bad_xml, basic).ok()) << "XML shape is kFull's job";
 
-  ValidityOptions full;
-  full.level = ValidityLevel::kFull;
-  EXPECT_FALSE(CheckRequest(bad_xml, full).ok());
+  // kFull rejects the malformed document on the wire. Dispatch's own parse
+  // finds it, and the response is the tier's status and detail.
+  ServerCore server(TestOptions());
+  LoadExampleRegistry(&server);
+  std::string frame;
+  EncodeRequest(bad_xml, &frame);
+  Result<Response> response = DecodeResponse(server.HandleFrame(frame));
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response->header.status, WireStatus::kValidationFailed);
+  EXPECT_EQ(response->header.detail,
+            "invalid-argument: document is not well-formed: parse-error: "
+            "mismatched </a>, expected </unclosed>");
+  EXPECT_EQ(server.SnapshotStats().validation_rejected, 1u);
+  EXPECT_EQ(server.SnapshotStats().responses_ok, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// kFull and malformed documents: the tier's answer comes from dispatch's one
+// parse, so name resolution, admission and the request's deadline come
+// first (docs/SERVING.md, "Malformed documents at kFull").
+// ---------------------------------------------------------------------------
+
+TEST(ServeFullTierTest, MalformedBatchIsRejectedWholeNamingFirstOffender) {
+  ServerCore server(TestOptions());
+  LoadExampleRegistry(&server);
+  Response response = server.Handle(MakeBatch(
+      1, "in", {"<a><c/></a>", "<a/>", "<a><c></a>", "not xml", "<a/>"}));
+  EXPECT_EQ(response.header.status, WireStatus::kValidationFailed);
+  EXPECT_EQ(response.header.detail,
+            "invalid-argument: batch document 2 is not well-formed: "
+            "parse-error: mismatched </a>, expected </c>");
+  EXPECT_FALSE(std::holds_alternative<ValidateBatchResponse>(response.body))
+      << "the other documents' verdicts are dropped";
+  const StatsResponse stats = server.SnapshotStats();
+  EXPECT_EQ(stats.validation_rejected, 1u);
+  EXPECT_EQ(stats.responses_ok, 0u);
+  EXPECT_EQ(stats.in_flight, 0u);
+}
+
+// The same document on the fallback route (determinization over budget):
+// ParseXmlKnown is the one parse there, with the same first error.
+TEST(ServeFullTierTest, FallbackRouteGivesTheSameRejection) {
+  ServeOptions options = TestOptions();
+  options.max_det_states = 1;
+  ServerCore server(options);
+  LoadExampleRegistry(&server);
+  Response single =
+      server.Handle(MakeValidate(1, "in", "<a><unclosed></a>"));
+  EXPECT_EQ(single.header.status, WireStatus::kValidationFailed);
+  EXPECT_EQ(single.header.detail,
+            "invalid-argument: document is not well-formed: parse-error: "
+            "mismatched </a>, expected </unclosed>");
+  Response batch =
+      server.Handle(MakeBatch(2, "in", {"<a><c/></a>", "<a><unclosed></a>"}));
+  EXPECT_EQ(batch.header.status, WireStatus::kValidationFailed);
+  EXPECT_EQ(batch.header.detail,
+            "invalid-argument: batch document 1 is not well-formed: "
+            "parse-error: mismatched </a>, expected </unclosed>");
+  Response fine = server.Handle(MakeBatch(3, "in", {"<a><c/></a>"}));
+  ASSERT_EQ(fine.header.status, WireStatus::kOk) << fine.header.detail;
+  EXPECT_EQ(std::get<ValidateBatchResponse>(fine.body).fallback_docs, 1u);
+}
+
+// (a) Name resolution runs before the parse: an unknown or wrong-kind schema
+// wins over a malformed document.
+TEST(ServeFullTierTest, NameResolutionPrecedesTheParse) {
+  ServerCore server(TestOptions());
+  LoadExampleRegistry(&server);
+  EXPECT_EQ(server.Handle(MakeValidate(1, "nope", "<a><c>")).header.status,
+            WireStatus::kNotFound);
+  EXPECT_EQ(server.Handle(MakeValidate(2, "rename", "<a><c>")).header.status,
+            WireStatus::kFailedPrecondition);
+  EXPECT_EQ(server.Handle(MakeBatch(3, "nope", {"<a><c>"})).header.status,
+            WireStatus::kNotFound);
+  EXPECT_EQ(server.Handle(MakeBatch(4, "rename", {"<a><c>"})).header.status,
+            WireStatus::kFailedPrecondition);
+  EXPECT_EQ(server.SnapshotStats().validation_rejected, 0u);
+}
+
+// (b) A malformed document is a heavy request like any other: it needs an
+// admission slot, so a saturated server sheds it.
+TEST(ServeFullTierTest, MalformedDocumentTakesAnAdmissionSlot) {
+  ServeOptions options = TestOptions();
+  options.max_in_flight = 1;
+  options.max_queued = 1;
+  options.admission_wait = std::chrono::milliseconds(5);
+  ServerCore server(options);
+  LoadExampleRegistry(&server);
+  auto held = server.admission().Admit(std::chrono::milliseconds(1));
+  ASSERT_TRUE(held.ok());
+  EXPECT_EQ(server.Handle(MakeValidate(1, "in", "<a><c>")).header.status,
+            WireStatus::kOverloaded);
+  EXPECT_EQ(server.Handle(MakeBatch(2, "in", {"<a><c>"})).header.status,
+            WireStatus::kOverloaded);
+  const StatsResponse stats = server.SnapshotStats();
+  EXPECT_EQ(stats.overload_rejected, 2u);
+  EXPECT_EQ(stats.validation_rejected, 0u);
+  held->Release();
+  EXPECT_EQ(server.Handle(MakeValidate(3, "in", "<a><c>")).header.status,
+            WireStatus::kValidationFailed);
+}
+
+// (c) The parse runs under the request's deadline, cancel flag and fault
+// injector: an interrupt that trips before the parse error is reached is the
+// answer, and a batch parses no document after a sticky interrupt.
+TEST(ServeFullTierTest, InterruptBeforeTheParseErrorWins) {
+  ServerCore server(TestOptions());
+  LoadExampleRegistry(&server);
+  const std::string late_error = "<a><c/><c/><c/><c/></b>";
+
+  // Count the request's checkpoints with an injector that never fires.
+  TaFaultInjector probe;
+  probe.trip_at = ~uint64_t{0};
+  server.ArmFaultForNextRequest(&probe);
+  Response untripped = server.Handle(MakeValidate(1, "in", late_error));
+  EXPECT_EQ(untripped.header.status, WireStatus::kValidationFailed);
+  ASSERT_GE(probe.seen, 3u);
+
+  // Trip two checkpoints before the last one the parse reached: the
+  // interrupt answers, not the rejection.
+  TaFaultInjector fault;
+  fault.trip_at = probe.seen - 2;
+  server.ArmFaultForNextRequest(&fault);
+  Response tripped = server.Handle(MakeValidate(2, "in", late_error));
+  EXPECT_TRUE(fault.tripped);
+  EXPECT_EQ(tripped.header.status, WireStatus::kDeadlineExceeded)
+      << tripped.header.detail;
+  EXPECT_EQ(server.SnapshotStats().validation_rejected, 1u);
+
+  // A cancelled batch reports the interrupt per document, the malformed one
+  // included, instead of rejecting the batch.
+  ASSERT_EQ(server.Handle(MakeBatch(3, "in", {"<a/>"})).header.status,
+            WireStatus::kOk);  // warm the plan cache
+  std::atomic<bool> cancel{true};
+  Response batch = server.Handle(
+      MakeBatch(4, "in", {"<a><c/></a>", "not xml", "<a><c>"}), &cancel);
+  ASSERT_EQ(batch.header.status, WireStatus::kOk) << batch.header.detail;
+  const auto& body = std::get<ValidateBatchResponse>(batch.body);
+  ASSERT_EQ(body.verdicts.size(), 3u);
+  for (const BatchDocVerdict& v : body.verdicts) {
+    EXPECT_EQ(v.status, static_cast<uint8_t>(WireStatus::kCancelled));
+  }
+  EXPECT_EQ(server.SnapshotStats().validation_rejected, 1u);
 }
 
 TEST(ServeValidityTest, BasicCapsDocumentAndArtifactSizes) {
@@ -694,9 +834,9 @@ TEST_F(ServeDispatchTest, BatchOverDocLimitIsRejectedByValidity) {
   EXPECT_EQ(at_limit.header.status, WireStatus::kOk);
 }
 
-// Under kBasic validity (no pre-parse), a malformed document reaches the
-// engine and must surface as a per-document kInvalidArgument verdict while
-// the rest of the batch completes normally.
+// Below kFull, a malformed document gets no request-level rejection: it
+// must surface as a per-document kInvalidArgument verdict while the rest of
+// the batch completes normally.
 TEST(ServeBatchTest, MalformedDocumentGetsHonestPerDocVerdict) {
   ServeOptions options = TestOptions();
   options.validity.level = ValidityLevel::kBasic;
